@@ -65,6 +65,7 @@ let () =
   (* --- labelling sweep ------------------------------------------------ *)
   let sweep jobs =
     Compile_cache.clear Compile_cache.global;
+    Deps_memo.clear Deps_memo.global;
     time (fun () -> Labeling.collect ~jobs config ~swp:false benchmarks)
   in
   let baseline, t1 = sweep 1 in

@@ -6,9 +6,8 @@
    [Sim_reference] on [Cache_reference] — the complete pre-optimisation
    stack, frozen verbatim — so the ratio reflects every layer of the fast
    path: array plans, shift/mask caches, shared CSR graphs, fetch skip,
-   entry skip, wrap-period fast-forward.  Both sides produce (cycles,
-   stats) for every executable and the run aborts the speedup claim unless
-   they are bit-identical.
+   entry skip.  Both sides produce (cycles, stats) for every executable
+   and the run aborts the speedup claim unless they are bit-identical.
 
    Also times Deps.build against warm memoised-CSR lookups, and writes a
    one-line JSON summary to stdout and BENCH_sim.json (a CI artifact next
@@ -83,7 +82,7 @@ let () =
   let t_naive = ref infinity and t_fast = ref infinity in
   let tel = Telemetry.global in
   let c name = Telemetry.counter tel ~pass:"simulator" name in
-  let iters0 = c "iters-simulated" and ff0 = c "iters-fast-forwarded" in
+  let iters0 = c "iters-simulated" in
   let es0 = c "entries-simulated" and sk0 = c "entries-skipped" in
   for _ = 1 to reps do
     let a = Unix.gettimeofday () in
@@ -96,7 +95,6 @@ let () =
     if d < !t_fast then t_fast := d
   done;
   let iters_sim = c "iters-simulated" - iters0 in
-  let iters_ff = c "iters-fast-forwarded" - ff0 in
   let entries_sim = c "entries-simulated" - es0 in
   let entries_skipped = c "entries-skipped" - sk0 in
   let speedup = !t_naive /. Float.max !t_fast 1e-9 in
@@ -133,11 +131,11 @@ let () =
       "{\"bench\":\"sim-fast-path\",\"loops\":%d,\"executables\":%d,\
        \"max_sim_iters\":%d,\"compile_s\":%.1f,\"naive_s\":%.3f,\
        \"fast_s\":%.3f,\"speedup\":%.2f,\"identical\":%b,\
-       \"iters_simulated\":%d,\"iters_fast_forwarded\":%d,\
+       \"iters_simulated\":%d,\
        \"entries_simulated\":%d,\"entries_skipped\":%d,\
        \"deps_build_s\":%.4f,\"deps_memo_s\":%.4f,\"deps_speedup\":%.1f}"
       (List.length loops) (List.length exes) max_sim_iters t_compile !t_naive !t_fast speedup
-      identical iters_sim iters_ff entries_sim entries_skipped t_build t_memo deps_speedup
+      identical iters_sim entries_sim entries_skipped t_build t_memo deps_speedup
   in
   print_endline json;
   let oc = open_out "BENCH_sim.json" in

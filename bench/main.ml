@@ -158,11 +158,16 @@ let run_parallel_bench config compile_rows =
   (* At least 2 so the domain path is exercised even on a 1-core host
      (where no wall-clock speedup is expected). *)
   let jobs = max 2 (Parallel.default_jobs ()) in
-  (* Both runs start from an empty compile cache so the comparison is
-     sweep work, not one run replaying the other's compiles. *)
-  Compile_cache.clear Compile_cache.global;
+  (* Both runs start from an empty compile cache and dependence-graph memo
+     so the comparison is sweep work, not one run replaying the other's
+     compiles or graphs. *)
+  let clear () =
+    Compile_cache.clear Compile_cache.global;
+    Deps_memo.clear Deps_memo.global
+  in
+  clear ();
   let seq, t_seq = time (fun () -> Labeling.collect ~jobs:1 config ~swp:false benchmarks) in
-  Compile_cache.clear Compile_cache.global;
+  clear ();
   let par, t_par = time (fun () -> Labeling.collect ~jobs config ~swp:false benchmarks) in
   let identical =
     Array.length seq = Array.length par

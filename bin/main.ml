@@ -89,8 +89,6 @@ let rate_summary t =
   hit_rate "L1d hit rate" "simulator" "l1d";
   hit_rate "L1i hit rate" "simulator" "l1i";
   hit_rate "L2 hit rate" "simulator" "l2";
-  let is = c "simulator" "iters-simulated" and iff = c "simulator" "iters-fast-forwarded" in
-  rate "iterations fast-forwarded" iff (is + iff);
   let es = c "simulator" "entries-simulated" and sk = c "simulator" "entries-skipped" in
   rate "entries skipped" sk (es + sk);
   let dh = c "deps-memo" "hits" and dm = c "deps-memo" "misses" in

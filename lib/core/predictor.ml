@@ -4,7 +4,6 @@ type t =
   | Oracle
   | Nn of learned_nn
   | Svm of learned_svm
-  | Tree of learned_tree
   | Mlp of learned_mlp
 
 and learned_nn = { nn_model : Knn.t; nn_scaler : Scale.t; nn_features : int array }
@@ -15,12 +14,6 @@ and learned_svm = {
   svm_features : int array;
 }
 
-and learned_tree = {
-  tree_model : Decision_tree.t;
-  tree_scaler : Scale.t;
-  tree_features : int array;
-}
-
 and learned_mlp = { mlp_model : Mlp.t; mlp_scaler : Scale.t; mlp_features : int array }
 
 let name = function
@@ -29,7 +22,6 @@ let name = function
   | Oracle -> "oracle"
   | Nn _ -> "nn"
   | Svm _ -> "svm"
-  | Tree _ -> "tree"
   | Mlp _ -> "mlp"
 
 let prepare ~features ds =
@@ -73,13 +65,6 @@ let train_mlp ?jobs ?telemetry (config : Config.t) ~features ds =
       ~n_classes:ds.Dataset.n_classes (Dataset.points scaled)
   in
   Mlp { mlp_model = model; mlp_scaler = scaler; mlp_features = features }
-
-let train_tree (_config : Config.t) ~features ds =
-  let scaled, scaler = prepare ~features ds in
-  let model =
-    Decision_tree.train ~n_classes:ds.Dataset.n_classes (Dataset.points scaled)
-  in
-  Tree { tree_model = model; tree_scaler = scaler; tree_features = features }
 
 let project features x = Array.map (fun j -> x.(j)) features
 
@@ -145,7 +130,7 @@ let to_artifact ?(label_space = Model_artifact.Factor) (config : Config.t) ~data
       std;
       payload = Model_artifact.Mlp { dims; weights; biases };
     }
-  | Fixed _ | Orc | Oracle | Tree _ ->
+  | Fixed _ | Orc | Oracle ->
     invalid_arg "Predictor.to_artifact: only learned NN/SVM/MLP predictors persist"
 
 let of_artifact (a : Model_artifact.t) =
@@ -213,9 +198,6 @@ let predict t (config : Config.t) ~swp ?cycles loop =
   | Svm { svm_model; svm_scaler; svm_features } ->
     let x = project svm_features (Features.extract config.Config.machine loop) in
     1 + Multiclass.predict svm_model (Scale.transform svm_scaler x)
-  | Tree { tree_model; tree_scaler; tree_features } ->
-    let x = project tree_features (Features.extract config.Config.machine loop) in
-    1 + Decision_tree.predict tree_model (Scale.transform tree_scaler x)
   | Mlp { mlp_model; mlp_scaler; mlp_features } ->
     let x = project mlp_features (Features.extract config.Config.machine loop) in
     1 + Mlp.predict mlp_model (Scale.transform mlp_scaler x)
@@ -227,7 +209,6 @@ let featurize t (config : Config.t) loop =
   match t with
   | Nn { nn_scaler; nn_features; _ } -> go nn_features nn_scaler
   | Svm { svm_scaler; svm_features; _ } -> go svm_features svm_scaler
-  | Tree { tree_scaler; tree_features; _ } -> go tree_features tree_scaler
   | Mlp { mlp_scaler; mlp_features; _ } -> go mlp_features mlp_scaler
   | Fixed _ | Orc | Oracle ->
     invalid_arg "Predictor.featurize: only learned predictors have a feature space"
@@ -236,7 +217,6 @@ let classify_scaled t x =
   match t with
   | Nn { nn_model; _ } -> Knn.predict nn_model x
   | Svm { svm_model; _ } -> Multiclass.predict svm_model x
-  | Tree { tree_model; _ } -> Decision_tree.predict tree_model x
   | Mlp { mlp_model; _ } -> Mlp.predict mlp_model x
   | Fixed _ | Orc | Oracle ->
     invalid_arg "Predictor.classify_scaled: only learned predictors take feature vectors"
@@ -262,5 +242,5 @@ let predict_joint t (config : Config.t) ?cycles loop =
       Labeling.Joint.decode (Stats.min_index (Array.map float_of_int cs))
     | None -> invalid_arg "Predictor.predict_joint: Oracle needs measured cycles"
   end
-  | Nn _ | Svm _ | Tree _ | Mlp _ ->
+  | Nn _ | Svm _ | Mlp _ ->
     Labeling.Joint.decode (classify_scaled t (featurize t config loop))

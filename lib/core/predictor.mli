@@ -11,7 +11,6 @@ type t =
   | Oracle                          (** best measured factor *)
   | Nn of learned_nn
   | Svm of learned_svm
-  | Tree of learned_tree
   | Mlp of learned_mlp
 
 and learned_nn = {
@@ -24,12 +23,6 @@ and learned_svm = {
   svm_model : Multiclass.t;
   svm_scaler : Scale.t;
   svm_features : int array;
-}
-
-and learned_tree = {
-  tree_model : Decision_tree.t;
-  tree_scaler : Scale.t;
-  tree_features : int array;
 }
 
 and learned_mlp = {
@@ -47,8 +40,6 @@ val train_nn : Config.t -> features:int array -> Dataset.t -> t
 val train_svm : ?cap:int -> Config.t -> features:int array -> Dataset.t -> t
 (** Train the multi-class LS-SVM; [cap] optionally subsamples the training
     set (deterministically) to bound the O(N³) solve. *)
-
-val train_tree : Config.t -> features:int array -> Dataset.t -> t
 
 val train_mlp :
   ?jobs:int -> ?telemetry:Telemetry.t -> Config.t -> features:int array -> Dataset.t -> t

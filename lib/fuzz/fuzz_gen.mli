@@ -89,8 +89,8 @@ val with_exact_trip : ?dynamic:bool -> Loop.t -> int -> Loop.t
 
 val with_array_lengths : Loop.t -> int -> Loop.t
 (** Shrink every array to [len] elements (address bases unchanged), so
-    references wrap within the simulated window — the configuration that
-    engages the simulator's wrap-period fast-forward. *)
+    references wrap within the simulated window and exercise the
+    simulator's wrap-around addressing. *)
 
 val op_kind : Op.t -> string
 (** Coverage key of an op: ["ialu"], ["fmadd"], ["load"], ["br-exit"], … *)

@@ -16,7 +16,7 @@
       case's coordinates, interpreting the scheduled kernel and remainder;
     - [pipeline-interp[noregalloc]] — pipeline with the allocator disabled
       (schedules still on virtual registers);
-    - [sim-fast-vs-ref] — fast-forwarded simulator vs the frozen reference,
+    - [sim-fast-vs-ref] — fast-path simulator vs the frozen reference,
       warm-state pairs included (PR 3's contract);
     - [cache-roundtrip] — a compile served from a warm {!Compile_cache} is
       structurally identical to a cold compile;

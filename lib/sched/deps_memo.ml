@@ -39,9 +39,6 @@ let create ?(capacity = 16384) ?(telemetry = Telemetry.global) () =
 
 let global = create ()
 
-(* Escape hatch for benchmarks that want to measure the unmemoised path. *)
-let enabled = ref true
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
@@ -54,38 +51,35 @@ let build machine loop =
   { deps; csr = Deps.to_csr deps }
 
 let get ?(memo = global) machine loop =
-  if not !enabled then build machine loop
-  else begin
-    let k = key machine loop in
-    let cached =
-      locked memo (fun () ->
-          match Hashtbl.find_opt memo.store.table k with
-          | Some e ->
-            memo.hit_count <- memo.hit_count + 1;
-            Some e
-          | None ->
-            memo.miss_count <- memo.miss_count + 1;
-            None)
-    in
-    match cached with
-    | Some e ->
-      Telemetry.incr memo.telemetry ~pass:"deps-memo" "hits" 1;
-      e
-    | None ->
-      Telemetry.incr memo.telemetry ~pass:"deps-memo" "misses" 1;
-      let e = build machine loop in
-      locked memo (fun () ->
-          let s = memo.store in
-          if s.capacity > 0 && not (Hashtbl.mem s.table k) then begin
-            if Hashtbl.length s.table >= s.capacity then begin
-              let oldest = Queue.pop s.fifo in
-              Hashtbl.remove s.table oldest
-            end;
-            Hashtbl.add s.table k e;
-            Queue.push k s.fifo
-          end);
-      e
-  end
+  let k = key machine loop in
+  let cached =
+    locked memo (fun () ->
+        match Hashtbl.find_opt memo.store.table k with
+        | Some e ->
+          memo.hit_count <- memo.hit_count + 1;
+          Some e
+        | None ->
+          memo.miss_count <- memo.miss_count + 1;
+          None)
+  in
+  match cached with
+  | Some e ->
+    Telemetry.incr memo.telemetry ~pass:"deps-memo" "hits" 1;
+    e
+  | None ->
+    Telemetry.incr memo.telemetry ~pass:"deps-memo" "misses" 1;
+    let e = build machine loop in
+    locked memo (fun () ->
+        let s = memo.store in
+        if s.capacity > 0 && not (Hashtbl.mem s.table k) then begin
+          if Hashtbl.length s.table >= s.capacity then begin
+            let oldest = Queue.pop s.fifo in
+            Hashtbl.remove s.table oldest
+          end;
+          Hashtbl.add s.table k e;
+          Queue.push k s.fifo
+        end);
+    e
 
 let deps ?memo machine loop = (get ?memo machine loop).deps
 

@@ -13,11 +13,10 @@ type entry = { deps : Deps.t; csr : Deps.csr }
 type t
 
 val create : ?capacity:int -> ?telemetry:Telemetry.t -> unit -> t
-val global : t
+(** A fresh memo holding at most [capacity] graphs (default 16384);
+    [capacity = 0] never stores, so every lookup builds. *)
 
-val enabled : bool ref
-(** When set to [false], {!get} builds fresh graphs without touching the
-    store or telemetry — the benchmark baseline. Default [true]. *)
+val global : t
 
 val get : ?memo:t -> Machine.t -> Loop.t -> entry
 (** The dependence graph of the loop under the machine's latency model,

@@ -21,19 +21,24 @@ let encode payload =
   Bytes.blit_string payload 0 b header_len n;
   Bytes.unsafe_to_string b
 
+(* The payload length announced by the 4-byte prefix; [byte i] reads the
+   prefix's [i]th byte. *)
+let length_prefix byte = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
+let oversized n = Printf.sprintf "frame length %d exceeds the %d-byte cap" n max_payload
+
+let digest_mismatch = "frame digest mismatch"
+
 let decode ?(pos = 0) buf =
   let avail = String.length buf - pos in
   if avail < 4 then Incomplete
   else begin
-    let byte i = Char.code buf.[pos + i] in
-    let n = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-    if n > max_payload then
-      Corrupt (Printf.sprintf "frame length %d exceeds the %d-byte cap" n max_payload)
+    let n = length_prefix (fun i -> Char.code buf.[pos + i]) in
+    if n > max_payload then Corrupt (oversized n)
     else if avail < header_len + n then Incomplete
     else begin
       let digest = String.sub buf (pos + 4) digest_len in
       let payload = String.sub buf (pos + header_len) n in
-      if Digest.string payload <> digest then Corrupt "frame digest mismatch"
+      if Digest.string payload <> digest then Corrupt digest_mismatch
       else Payload (payload, header_len + n)
     end
   end
@@ -97,33 +102,64 @@ let write_payload fd payload =
     written := !written + Unix.write_substring fd s !written (n - !written)
   done
 
+(* Buffered bytes are [buf.[lo .. hi - 1]]; frames are consumed by
+   advancing [lo], so no byte is copied more than once per frame. *)
 type reader = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
-  chunk : Bytes.t;
+  mutable buf : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
 }
 
-let reader fd = { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536 }
+let read_size = 65536
+
+let reader fd = { fd; buf = Bytes.create read_size; lo = 0; hi = 0 }
+
+(* Make room past [lo] for [need] bytes (and at least one full read):
+   slide the unconsumed bytes to the front, into a larger buffer when the
+   current one is too small. *)
+let reserve r need =
+  let want = max need read_size in
+  if r.lo + want > Bytes.length r.buf then begin
+    let live = r.hi - r.lo in
+    let dst = if want > Bytes.length r.buf then Bytes.create want else r.buf in
+    Bytes.blit r.buf r.lo dst 0 live;
+    r.buf <- dst;
+    r.lo <- 0;
+    r.hi <- live
+  end
+
+(* Read until [need] bytes are buffered; [Error] at end of stream, which
+   is a torn frame unless nothing at all is buffered. *)
+let rec fill r need =
+  if r.hi - r.lo >= need then Ok ()
+  else begin
+    let torn what =
+      if r.hi = r.lo then Error `Eof
+      else Error (`Corrupt (Printf.sprintf "connection %s mid-frame (torn frame)" what))
+    in
+    reserve r need;
+    match Unix.read r.fd r.buf r.hi (Bytes.length r.buf - r.hi) with
+    | 0 -> torn "closed"
+    | n ->
+      r.hi <- r.hi + n;
+      fill r need
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
+      torn "reset"
+  end
 
 let next r =
-  let rec go () =
-    match decode (Buffer.contents r.buf) with
-    | Payload (p, consumed) ->
-      let rest = Buffer.sub r.buf consumed (Buffer.length r.buf - consumed) in
-      Buffer.clear r.buf;
-      Buffer.add_string r.buf rest;
-      `Payload p
-    | Corrupt msg -> `Corrupt msg
-    | Incomplete -> (
-      match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-      | 0 ->
-        if Buffer.length r.buf = 0 then `Eof
-        else `Corrupt "connection closed mid-frame (torn frame)"
-      | n ->
-        Buffer.add_subbytes r.buf r.chunk 0 n;
-        go ()
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-        if Buffer.length r.buf = 0 then `Eof
-        else `Corrupt "connection reset mid-frame (torn frame)")
-  in
-  go ()
+  match fill r 4 with
+  | Error ended -> ended
+  | Ok () -> (
+    let n = length_prefix (fun i -> Bytes.get_uint8 r.buf (r.lo + i)) in
+    (* Refuse an oversized frame before reading (or allocating) its body. *)
+    if n > max_payload then `Corrupt (oversized n)
+    else
+      match fill r (header_len + n) with
+      | Error ended -> ended
+      | Ok () ->
+        let digest = Bytes.sub_string r.buf (r.lo + 4) digest_len in
+        let payload = Bytes.sub_string r.buf (r.lo + header_len) n in
+        r.lo <- r.lo + header_len + n;
+        if Digest.string payload <> digest then `Corrupt digest_mismatch else `Payload payload)

@@ -2,10 +2,9 @@
 
    The labeling sweep spends most of its time here, so the hot loops are
    array-backed (struct-of-arrays plans, incremental address cursors,
-   shift/mask cache indexing) and three steady-state fast-forwards are
-   layered on top, all gated by {!fast_forward} and all bit-identical to
-   the naive path ([Sim_reference], property-tested in
-   [test/test_sim_equiv.ml]):
+   shift/mask cache indexing) and two steady-state skips are layered on
+   top, both bit-identical to the naive path ([Sim_reference],
+   property-tested in [test/test_sim_equiv.ml]):
 
    - fetch skip: within one run only fetch probes touch the I-cache, so
      once an iteration's probes all hit, every later fetch hits too and
@@ -14,12 +13,6 @@
      sequence; when the post-scrub snapshot (per-set tags in recency
      order) repeats, every remaining entry replays the last simulated
      one's cycle and stall deltas exactly.
-   - wrap-period fast-forward: when every reference has a finite
-     address period (small arrays that wrap), per-iteration state is
-     fingerprinted at period boundaries — normalised scoreboard plus
-     touched-set snapshots — and once two consecutive boundaries agree
-     the remaining whole periods are replayed analytically; the final
-     partial period is then simulated from the (snapshot-equal) state.
 
    See DESIGN.md §9 for the exactness arguments. *)
 
@@ -72,9 +65,6 @@ type plan = {
   r_offset : int array;
   r_indirect : bool array;
   r_uid : int array;
-  period : int;
-      (* lcm of the per-reference address periods; 0 when a reference is
-         indirect or the lcm exceeds the cap (wrap fast-forward disabled) *)
 }
 
 type state = {
@@ -96,7 +86,7 @@ and plan_memo = {
   pm_prepared : (Schedule.t * int * int * plan * int) list;
   pm_max_regs : int;
   pm_fetch_lines : int array;
-  pm_l2_sets : int array option; (* None until entry-skip needs it *)
+  pm_l2_sets : int array;
 }
 
 let create_state machine =
@@ -115,11 +105,6 @@ let reset_state s =
   Cache.reset s.l2;
   s.entry_memo <- None;
   s.plan_memo <- None
-
-(* Master switch for every fast path; with it off the simulator takes the
-   naive per-iteration route (still on the array kernels).  Outputs are
-   bit-identical either way. *)
-let fast_forward = ref true
 
 type stats = {
   mutable issue_cycles : int;
@@ -152,13 +137,25 @@ let stats_arr s =
 
 let stats_delta cur prev = Array.init 6 (fun i -> cur.(i) - prev.(i))
 
-let stats_bump s d k =
-  s.issue_cycles <- s.issue_cycles + (k * d.(0));
-  s.data_stall_cycles <- s.data_stall_cycles + (k * d.(1));
-  s.fetch_stall_cycles <- s.fetch_stall_cycles + (k * d.(2));
-  s.branch_cycles <- s.branch_cycles + (k * d.(3));
-  s.entry_overhead_cycles <- s.entry_overhead_cycles + (k * d.(4));
-  s.pipeline_fill_cycles <- s.pipeline_fill_cycles + (k * d.(5))
+let stats_add s d =
+  s.issue_cycles <- s.issue_cycles + d.(0);
+  s.data_stall_cycles <- s.data_stall_cycles + d.(1);
+  s.fetch_stall_cycles <- s.fetch_stall_cycles + d.(2);
+  s.branch_cycles <- s.branch_cycles + d.(3);
+  s.entry_overhead_cycles <- s.entry_overhead_cycles + d.(4);
+  s.pipeline_fill_cycles <- s.pipeline_fill_cycles + d.(5)
+
+(* Tail extrapolation: attribute [extra] cycles to categories in the
+   proportions of the [window] cycles simulated so far.  It scales the
+   cumulative fields, so a replayed entry must re-apply it rather than
+   copy a delta.  [branch]: straight schedules pay a branch bubble every
+   iteration, so their branch cycles scale too. *)
+let extrapolate_stats s ~extra ~window ~branch =
+  let scale v = v * extra / window in
+  s.issue_cycles <- s.issue_cycles + scale s.issue_cycles;
+  if branch then s.branch_cycles <- s.branch_cycles + scale s.branch_cycles;
+  s.data_stall_cycles <- s.data_stall_cycles + scale s.data_stall_cycles;
+  s.fetch_stall_cycles <- s.fetch_stall_cycles + scale s.fetch_stall_cycles
 
 type executable = Pipeline_state.executable = {
   schedules : (Schedule.t * int * int) list;
@@ -195,12 +192,6 @@ let scratch_base = 0x70000000
    of other basic blocks execute) and part of its data from the D-cache. *)
 let inter_entry_dirty_ilines = 384
 let inter_entry_dirty_dlines = 96
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-(* Beyond this the bookkeeping outweighs the savings at realistic
-   [max_sim_iters]. *)
-let period_cap = 128
 
 let prepare (sched : Schedule.t) =
   let m = sched.Schedule.machine in
@@ -295,18 +286,6 @@ let prepare (sched : Schedule.t) =
       | None -> ())
     order;
   p_src_off.(n) <- !si;
-  let period =
-    let p = ref 1 in
-    (try
-       for k = 0 to nr - 1 do
-         if r_indirect.(k) then raise Exit;
-         let pr = r_len.(k) / gcd r_stride_mod.(k) r_len.(k) in
-         p := !p / gcd !p pr * pr;
-         if !p > period_cap then raise Exit
-       done
-     with Exit -> p := 0);
-    !p
-  in
   {
     n_ops = n;
     p_span = sched.Schedule.length;
@@ -327,7 +306,6 @@ let prepare (sched : Schedule.t) =
     r_offset;
     r_indirect;
     r_uid;
-    period;
   }
 
 (* Data access through the hierarchy; returns extra stall cycles beyond the
@@ -360,7 +338,7 @@ let fetch_cost st ~fetch_lines ~all_hit =
         if not (Cache.access st.l2 addr) then cost := !cost + (m.Machine.mem_extra / 4)
       end
     done;
-    if !fast_forward && not !missed then all_hit := true;
+    if not !missed then all_hit := true;
     !cost
   end
 
@@ -411,72 +389,9 @@ let dirty_caches st =
     done;
     Cache.apply_flood st.l1i f
 
-(* --- wrap-period fast-forward support ------------------------------- *)
-
-(* The cache sets one period of the access pattern can touch: data and L2
-   sets of every direct reference address, I-cache and L2 sets of every
-   fetch line.  Sets outside this list are never accessed during the run
-   and so never change. *)
-let make_snap_plan st (pl : plan) ~phase ~fetch_lines =
-  let l1d_m = Array.make (Cache.sets st.l1d) false in
-  let l1i_m = Array.make (Cache.sets st.l1i) false in
-  let l2_m = Array.make (Cache.sets st.l2) false in
-  for r = 0 to pl.n_refs - 1 do
-    let len = pl.r_len.(r) in
-    let idx = ref ((((pl.r_stride.(r) * phase) + pl.r_offset.(r)) mod len + len) mod len) in
-    for _k = 0 to pl.period - 1 do
-      let addr = pl.r_base.(r) + (pl.r_elem.(r) * !idx) in
-      l1d_m.(Cache.set_of_addr st.l1d addr) <- true;
-      l2_m.(Cache.set_of_addr st.l2 addr) <- true;
-      let nx = !idx + pl.r_stride_mod.(r) in
-      idx := if nx >= len then nx - len else nx
-    done
-  done;
-  Array.iter
-    (fun addr ->
-      l1i_m.(Cache.set_of_addr st.l1i addr) <- true;
-      l2_m.(Cache.set_of_addr st.l2 addr) <- true)
-    fetch_lines;
-  let collect marks =
-    let n = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 marks in
-    let out = Array.make n 0 in
-    let j = ref 0 in
-    Array.iteri
-      (fun i b ->
-        if b then begin
-          out.(!j) <- i;
-          incr j
-        end)
-      marks;
-    out
-  in
-  [| (st.l1d, collect l1d_m); (st.l1i, collect l1i_m); (st.l2, collect l2_m) |]
-
-let take_snap sp =
-  let len =
-    Array.fold_left (fun acc (c, sets) -> acc + (Array.length sets * Cache.assoc c)) 0 sp
-  in
-  let buf = Array.make len (-2) in
-  let off = ref 0 in
-  Array.iter
-    (fun (c, sets) ->
-      Array.iter
-        (fun s ->
-          Cache.snapshot_set c s buf !off;
-          off := !off + Cache.assoc c)
-        sets)
-    sp;
-  buf
-
-(* Stop fingerprinting after this many boundary mismatches: the pattern is
-   still warming up or genuinely aperiodic (both rare once the period
-   gate has passed). *)
-let max_boundary_failures = 8
-
 (* Per-run telemetry accumulators, flushed once per {!run_profiled}. *)
 type counters = {
   mutable c_iters : int;
-  mutable c_ff_iters : int;
   mutable c_entries : int;
   mutable c_entries_skipped : int;
 }
@@ -484,18 +399,46 @@ type counters = {
 let replay_sched_runs stats records =
   List.iter
     (fun r ->
-      stats_bump stats r.rw 1;
-      if r.rextra <> 0 then begin
-        let scale v = v * r.rextra / r.rwindow in
-        stats.issue_cycles <- stats.issue_cycles + scale stats.issue_cycles;
-        if r.rbranch then stats.branch_cycles <- stats.branch_cycles + scale stats.branch_cycles;
-        stats.data_stall_cycles <- stats.data_stall_cycles + scale stats.data_stall_cycles;
-        stats.fetch_stall_cycles <- stats.fetch_stall_cycles + scale stats.fetch_stall_cycles
-      end)
+      stats_add stats r.rw;
+      if r.rextra <> 0 then
+        extrapolate_stats stats ~extra:r.rextra ~window:r.rwindow ~branch:r.rbranch)
     records
 
+(* Address cursors of a schedule's direct references, positioned at
+   original iteration [phase]. *)
+let cursors (pl : plan) ~phase =
+  let cur = Array.make (max pl.n_refs 1) 0 in
+  for r = 0 to pl.n_refs - 1 do
+    if not pl.r_indirect.(r) then begin
+      let len = pl.r_len.(r) in
+      cur.(r) <- (((pl.r_stride.(r) * phase) + pl.r_offset.(r)) mod len + len) mod len
+    end
+  done;
+  cur
+
+(* Close one schedule-run that simulated [sim_iters] of its [trips]
+   iterations from [start] to [t]: extrapolate the rest at the rate
+   measured since the top of iteration [half] ([t_at_half]), and record
+   the run so a skipped entry can replay it.  Returns the clock after the
+   run. *)
+let finish_run ~stats ~stats0 ~ctr ~slog ~branch ~start ~trips ~sim_iters ~half ~t_at_half t =
+  ctr.c_iters <- ctr.c_iters + sim_iters;
+  let rw = stats_delta (stats_arr stats) stats0 in
+  let extra, window =
+    if trips > sim_iters && sim_iters > half then begin
+      let steady = float_of_int (t - t_at_half) /. float_of_int (sim_iters - half) in
+      let extra = int_of_float (Float.round (steady *. float_of_int (trips - sim_iters))) in
+      let window = max 1 (t - start) in
+      extrapolate_stats stats ~extra ~window ~branch;
+      (extra, window)
+    end
+    else (0, 1)
+  in
+  slog := { rw; rextra = extra; rwindow = window; rbranch = branch } :: !slog;
+  t + extra
+
 (* One entry's worth of a straight schedule: in-order issue with scoreboard
-   stalls; returns cycles consumed. *)
+   stalls; returns the clock after it. *)
 let run_straight st (pl : plan) reg_ready ~stats ~start ~trips ~phase ~max_sim_iters
     ~fetch_lines ~ctr ~slog =
   let m = st.machine in
@@ -511,138 +454,51 @@ let run_straight st (pl : plan) reg_ready ~stats ~start ~trips ~phase ~max_sim_i
   let stats0 = stats_arr stats in
   let per_iter_base = pl.p_span + m.Machine.taken_branch_cost in
   let sim_iters = min trips max_sim_iters in
-  let t = ref start in
   let half = max 1 (sim_iters / 2) in
-  let t_at_half = ref start in
-  let half_set = ref false in
-  let cur = Array.make (max pl.n_refs 1) 0 in
-  for r = 0 to pl.n_refs - 1 do
-    if not pl.r_indirect.(r) then begin
-      let len = pl.r_len.(r) in
-      cur.(r) <- (((pl.r_stride.(r) * phase) + pl.r_offset.(r)) mod len + len) mod len
-    end
-  done;
+  let t = ref start and t_at_half = ref start in
+  let cur = cursors pl ~phase in
   let all_hit = ref false in
-  let p = pl.period in
-  let ff = !fast_forward && p > 0 && sim_iters > 2 * p in
-  let sp = if ff then make_snap_plan st pl ~phase ~fetch_lines else [||] in
-  let dts = if ff then Array.make p 0 else [||] in
-  let nregs = Array.length reg_ready in
-  let prev_bound = ref None in
-  let engaged = ref false in
-  let failures = ref 0 in
-  let skipped = ref 0 in
-  let it = ref 0 in
-  while !it < sim_iters do
-    if ff && (not !engaged) && !it > 0 && !it mod p = 0 && !failures < max_boundary_failures
-    then begin
-      let s = !it in
-      let snapshot = take_snap sp in
-      let norm =
-        Array.init nregs (fun i ->
-            let v = reg_ready.(i) - !t in
-            if v > 0 then v else 0)
-      in
-      let cur_stats = stats_arr stats in
-      match !prev_bound with
-      | Some (t_p, prev_stats, norm_p, snap_p) when norm = norm_p && snapshot = snap_p ->
-        let full = (sim_iters - s) / p in
-        if full > 0 then begin
-          let dt_period = !t - t_p in
-          stats_bump stats (stats_delta cur_stats prev_stats) full;
-          if half >= s && not !half_set then begin
-            (* Reconstruct the top-of-iteration time at [half] from the
-               verified period's per-iteration deltas. *)
-            let q = (half - s) / p and r0 = (half - s) mod p in
-            let pre = ref 0 in
-            for k = 0 to r0 - 1 do
-              pre := !pre + dts.(k)
-            done;
-            t_at_half := !t + (q * dt_period) + !pre;
-            half_set := true
-          end;
-          let t_b = !t in
-          for i = 0 to nregs - 1 do
-            if reg_ready.(i) > t_b then reg_ready.(i) <- reg_ready.(i) + (full * dt_period)
-          done;
-          t := !t + (full * dt_period);
-          it := s + (full * p);
-          skipped := full * p;
-          engaged := true
+  for it = 0 to sim_iters - 1 do
+    if it = half then t_at_half := !t;
+    let fetch = fetch_cost st ~fetch_lines ~all_hit in
+    stats.fetch_stall_cycles <- stats.fetch_stall_cycles + fetch;
+    t := !t + fetch;
+    let stall = ref 0 in
+    let orig_iter = phase + it in
+    let issue = ref 0 in
+    for i = 0 to n_ops - 1 do
+      issue := !t + ug pc i + !stall;
+      for si = ug pso i to ug pso (i + 1) - 1 do
+        let ready = ug reg_ready (ug psrc si) in
+        if ready > !issue then begin
+          stall := !stall + (ready - !issue);
+          issue := ready
         end
-      | Some _ ->
-        incr failures;
-        prev_bound := Some (!t, cur_stats, norm, snapshot)
-      | None -> prev_bound := Some (!t, cur_stats, norm, snapshot)
-    end;
-    if !it < sim_iters then begin
-      let t_top = !t in
-      if !it = half && not !half_set then begin
-        t_at_half := !t;
-        half_set := true
-      end;
-      let fetch = fetch_cost st ~fetch_lines ~all_hit in
-      stats.fetch_stall_cycles <- stats.fetch_stall_cycles + fetch;
-      t := !t + fetch;
-      let stall = ref 0 in
-      let orig_iter = phase + !it in
-      let issue = ref 0 in
-      for i = 0 to n_ops - 1 do
-        issue := !t + ug pc i + !stall;
-        for si = ug pso i to ug pso (i + 1) - 1 do
-          let ready = ug reg_ready (ug psrc si) in
-          if ready > !issue then begin
-            stall := !stall + (ready - !issue);
-            issue := ready
-          end
-        done;
-        let r = ug pmem i in
-        if r >= 0 then begin
-          let addr =
-            if ug rind r then
-              ug rbase r + (ug relem r * indirect_index (ug ruid r) orig_iter (ug rlen r))
-            else begin
-              let a = ug rbase r + (ug relem r * ug cur r) in
-              let nx = ug cur r + ug rsmod r in
-              us cur r (if nx >= ug rlen r then nx - ug rlen r else nx);
-              a
-            end
-          in
-          let extra = data_access st ~is_load:(ug rload r) addr in
-          if ug pdst i >= 0 then us reg_ready (ug pdst i) (!issue + ug plat i + extra)
-        end
-        else if ug pdst i >= 0 then us reg_ready (ug pdst i) (!issue + ug plat i)
       done;
-      stats.issue_cycles <- stats.issue_cycles + pl.p_span;
-      stats.branch_cycles <- stats.branch_cycles + m.Machine.taken_branch_cost;
-      stats.data_stall_cycles <- stats.data_stall_cycles + !stall;
-      t := !t + per_iter_base + !stall;
-      if ff && not !engaged then dts.(!it mod p) <- !t - t_top;
-      incr it
-    end
+      let r = ug pmem i in
+      if r >= 0 then begin
+        let addr =
+          if ug rind r then
+            ug rbase r + (ug relem r * indirect_index (ug ruid r) orig_iter (ug rlen r))
+          else begin
+            let a = ug rbase r + (ug relem r * ug cur r) in
+            let nx = ug cur r + ug rsmod r in
+            us cur r (if nx >= ug rlen r then nx - ug rlen r else nx);
+            a
+          end
+        in
+        let extra = data_access st ~is_load:(ug rload r) addr in
+        if ug pdst i >= 0 then us reg_ready (ug pdst i) (!issue + ug plat i + extra)
+      end
+      else if ug pdst i >= 0 then us reg_ready (ug pdst i) (!issue + ug plat i)
+    done;
+    stats.issue_cycles <- stats.issue_cycles + pl.p_span;
+    stats.branch_cycles <- stats.branch_cycles + m.Machine.taken_branch_cost;
+    stats.data_stall_cycles <- stats.data_stall_cycles + !stall;
+    t := !t + per_iter_base + !stall
   done;
-  ctr.c_iters <- ctr.c_iters + (sim_iters - !skipped);
-  ctr.c_ff_iters <- ctr.c_ff_iters + !skipped;
-  let w6 = stats_delta (stats_arr stats) stats0 in
-  let rextra, rwindow =
-    if trips > sim_iters && sim_iters > half then begin
-      let steady = float_of_int (!t - !t_at_half) /. float_of_int (sim_iters - half) in
-      let extra = int_of_float (Float.round (steady *. float_of_int (trips - sim_iters))) in
-      (* Attribute extrapolated cycles to categories in the simulated
-         window's proportions. *)
-      let window = max 1 (!t - start) in
-      let scale v = v * extra / window in
-      stats.issue_cycles <- stats.issue_cycles + scale stats.issue_cycles;
-      stats.branch_cycles <- stats.branch_cycles + scale stats.branch_cycles;
-      stats.data_stall_cycles <- stats.data_stall_cycles + scale stats.data_stall_cycles;
-      stats.fetch_stall_cycles <- stats.fetch_stall_cycles + scale stats.fetch_stall_cycles;
-      t := !t + extra;
-      (extra, window)
-    end
-    else (0, 1)
-  in
-  slog := { rw = w6; rextra; rwindow; rbranch = true } :: !slog;
-  !t
+  finish_run ~stats ~stats0 ~ctr ~slog ~branch:true ~start ~trips ~sim_iters ~half
+    ~t_at_half:!t_at_half !t
 
 (* One entry of a pipelined kernel: II per iteration plus miss stalls. *)
 let run_pipelined st (pl : plan) ~stats ~ii ~stages ~start ~trips ~phase ~max_sim_iters
@@ -655,145 +511,128 @@ let run_pipelined st (pl : plan) ~stats ~ii ~stages ~start ~trips ~phase ~max_si
   let ruid = pl.r_uid and rlen = pl.r_len and rsmod = pl.r_stride_mod in
   let rload = pl.r_load in
   let sim_iters = min trips max_sim_iters in
-  let t = ref start in
   let half = max 1 (sim_iters / 2) in
-  let t_at_half = ref start in
-  let half_set = ref false in
   (* Prologue and epilogue: filling and draining the pipeline. *)
-  stats.pipeline_fill_cycles <- stats.pipeline_fill_cycles + (2 * (stages - 1) * ii);
-  t := !t + (2 * (stages - 1) * ii);
-  let cur = Array.make (max pl.n_refs 1) 0 in
-  for r = 0 to pl.n_refs - 1 do
-    if not pl.r_indirect.(r) then begin
-      let len = pl.r_len.(r) in
-      cur.(r) <- (((pl.r_stride.(r) * phase) + pl.r_offset.(r)) mod len + len) mod len
-    end
-  done;
+  let fill = 2 * (stages - 1) * ii in
+  stats.pipeline_fill_cycles <- stats.pipeline_fill_cycles + fill;
+  let t = ref (start + fill) and t_at_half = ref start in
+  let cur = cursors pl ~phase in
   let all_hit = ref false in
-  let p = pl.period in
-  let ff = !fast_forward && p > 0 && sim_iters > 2 * p in
-  let sp = if ff then make_snap_plan st pl ~phase ~fetch_lines else [||] in
-  let dts = if ff then Array.make p 0 else [||] in
-  let prev_bound = ref None in
-  let engaged = ref false in
-  let failures = ref 0 in
-  let skipped = ref 0 in
-  let it = ref 0 in
-  while !it < sim_iters do
-    if ff && (not !engaged) && !it > 0 && !it mod p = 0 && !failures < max_boundary_failures
-    then begin
-      let s = !it in
-      let snapshot = take_snap sp in
-      let cur_stats = stats_arr stats in
-      match !prev_bound with
-      | Some (t_p, prev_stats, snap_p) when snapshot = snap_p ->
-        let full = (sim_iters - s) / p in
-        if full > 0 then begin
-          let dt_period = !t - t_p in
-          stats_bump stats (stats_delta cur_stats prev_stats) full;
-          if half >= s && not !half_set then begin
-            let q = (half - s) / p and r0 = (half - s) mod p in
-            let pre = ref 0 in
-            for k = 0 to r0 - 1 do
-              pre := !pre + dts.(k)
-            done;
-            t_at_half := !t + (q * dt_period) + !pre;
-            half_set := true
-          end;
-          t := !t + (full * dt_period);
-          it := s + (full * p);
-          skipped := full * p;
-          engaged := true
-        end
-      | Some _ ->
-        incr failures;
-        prev_bound := Some (!t, cur_stats, snapshot)
-      | None -> prev_bound := Some (!t, cur_stats, snapshot)
-    end;
-    if !it < sim_iters then begin
-      let t_top = !t in
-      if !it = half && not !half_set then begin
-        t_at_half := !t;
-        half_set := true
-      end;
-      let fetch = fetch_cost st ~fetch_lines ~all_hit in
-      stats.fetch_stall_cycles <- stats.fetch_stall_cycles + fetch;
-      t := !t + fetch;
-      let orig_iter = phase + !it in
-      let stalls = ref 0 in
-      for i = 0 to n_ops - 1 do
-        let r = ug pmem i in
-        if r >= 0 then begin
-          let addr =
-            if ug rind r then
-              ug rbase r + (ug relem r * indirect_index (ug ruid r) orig_iter (ug rlen r))
-            else begin
-              let a = ug rbase r + (ug relem r * ug cur r) in
-              let nx = ug cur r + ug rsmod r in
-              us cur r (if nx >= ug rlen r then nx - ug rlen r else nx);
-              a
-            end
-          in
-          let extra = data_access st ~is_load:(ug rload r) addr in
-          (* The modulo schedule hides up to the consumer slack of the load. *)
-          let exposed = extra - ug pslack i in
-          if exposed > 0 then stalls := !stalls + exposed
-        end
-      done;
-      stats.issue_cycles <- stats.issue_cycles + ii;
-      stats.data_stall_cycles <- stats.data_stall_cycles + !stalls;
-      t := !t + ii + !stalls;
-      if ff && not !engaged then dts.(!it mod p) <- !t - t_top;
-      incr it
-    end
+  for it = 0 to sim_iters - 1 do
+    if it = half then t_at_half := !t;
+    let fetch = fetch_cost st ~fetch_lines ~all_hit in
+    stats.fetch_stall_cycles <- stats.fetch_stall_cycles + fetch;
+    t := !t + fetch;
+    let orig_iter = phase + it in
+    let stalls = ref 0 in
+    for i = 0 to n_ops - 1 do
+      let r = ug pmem i in
+      if r >= 0 then begin
+        let addr =
+          if ug rind r then
+            ug rbase r + (ug relem r * indirect_index (ug ruid r) orig_iter (ug rlen r))
+          else begin
+            let a = ug rbase r + (ug relem r * ug cur r) in
+            let nx = ug cur r + ug rsmod r in
+            us cur r (if nx >= ug rlen r then nx - ug rlen r else nx);
+            a
+          end
+        in
+        let extra = data_access st ~is_load:(ug rload r) addr in
+        (* The modulo schedule hides up to the consumer slack of the load. *)
+        let exposed = extra - ug pslack i in
+        if exposed > 0 then stalls := !stalls + exposed
+      end
+    done;
+    stats.issue_cycles <- stats.issue_cycles + ii;
+    stats.data_stall_cycles <- stats.data_stall_cycles + !stalls;
+    t := !t + ii + !stalls
   done;
-  ctr.c_iters <- ctr.c_iters + (sim_iters - !skipped);
-  ctr.c_ff_iters <- ctr.c_ff_iters + !skipped;
-  let w6 = stats_delta (stats_arr stats) stats0 in
-  let rextra, rwindow =
-    if trips > sim_iters && sim_iters > half then begin
-      let steady = float_of_int (!t - !t_at_half) /. float_of_int (sim_iters - half) in
-      let extra = int_of_float (Float.round (steady *. float_of_int (trips - sim_iters))) in
-      let window = max 1 (!t - start) in
-      let scale v = v * extra / window in
-      stats.issue_cycles <- stats.issue_cycles + scale stats.issue_cycles;
-      stats.data_stall_cycles <- stats.data_stall_cycles + scale stats.data_stall_cycles;
-      stats.fetch_stall_cycles <- stats.fetch_stall_cycles + scale stats.fetch_stall_cycles;
-      t := !t + extra;
-      (extra, window)
-    end
-    else (0, 1)
-  in
-  slog := { rw = w6; rextra; rwindow; rbranch = false } :: !slog;
-  !t
+  finish_run ~stats ~stats0 ~ctr ~slog ~branch:false ~start ~trips ~sim_iters ~half
+    ~t_at_half:!t_at_half !t
+
+(* The L2 sets an executable can ever touch within [max_sim_iters]
+   iterations per entry: data-reference and fetch-line addresses are pure
+   functions of the iteration index, so the list is enumerable up front
+   and every other L2 set is inert. *)
+let reachable_l2_sets st ~max_sim_iters ~fetch_lines prepared =
+  let marks = Array.make (Cache.sets st.l2) false in
+  Array.iter (fun addr -> marks.(Cache.set_of_addr st.l2 addr) <- true) fetch_lines;
+  List.iter
+    (fun (_, trips, phase, pl, _) ->
+      let iters = min trips max_sim_iters in
+      for r = 0 to pl.n_refs - 1 do
+        if pl.r_indirect.(r) then
+          for it = 0 to iters - 1 do
+            let addr =
+              pl.r_base.(r)
+              + (pl.r_elem.(r) * indirect_index pl.r_uid.(r) (phase + it) pl.r_len.(r))
+            in
+            marks.(Cache.set_of_addr st.l2 addr) <- true
+          done
+        else begin
+          let len = pl.r_len.(r) in
+          let idx =
+            ref ((((pl.r_stride.(r) * phase) + pl.r_offset.(r)) mod len + len) mod len)
+          in
+          (* direct indices cycle within [len] steps *)
+          for _ = 1 to min iters len do
+            let addr = pl.r_base.(r) + (pl.r_elem.(r) * !idx) in
+            marks.(Cache.set_of_addr st.l2 addr) <- true;
+            let nx = !idx + pl.r_stride_mod.(r) in
+            idx := if nx >= len then nx - len else nx
+          done
+        end
+      done)
+    prepared;
+  let n = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 marks in
+  let out = Array.make n 0 in
+  let j = ref 0 in
+  Array.iteri
+    (fun i b ->
+      if b then begin
+        out.(!j) <- i;
+        incr j
+      end)
+    marks;
+  out
+
+let plan_memo_of st exe ~max_sim_iters =
+  match st.plan_memo with
+  | Some m when m.pm_exe == exe && m.pm_iters = max_sim_iters -> m
+  | _ ->
+    let prepared =
+      List.map
+        (fun (sched, trips, phase) ->
+          let nregs = Loop.max_reg_id sched.Schedule.loop + 1 in
+          (sched, trips, phase, prepare sched, nregs))
+        exe.schedules
+    in
+    let max_regs = List.fold_left (fun acc (_, _, _, _, n) -> max acc n) 1 prepared in
+    let iline = Cache.line_bytes st.l1i in
+    let nlines = max 1 ((exe.total_code_bytes + iline - 1) / iline) in
+    let fetch_lines = Array.init nlines (fun l -> code_base + (l * iline)) in
+    let m =
+      {
+        pm_exe = exe;
+        pm_iters = max_sim_iters;
+        pm_prepared = prepared;
+        pm_max_regs = max_regs;
+        pm_fetch_lines = fetch_lines;
+        pm_l2_sets = reachable_l2_sets st ~max_sim_iters ~fetch_lines prepared;
+      }
+    in
+    st.plan_memo <- Some m;
+    m
 
 let run_profiled ?(max_sim_iters = 400) st exe =
-  let memo0 =
-    match st.plan_memo with
-    | Some m when m.pm_exe == exe && m.pm_iters = max_sim_iters -> Some m
-    | _ -> None
-  in
-  let prepared, max_regs, fetch_lines =
-    match memo0 with
-    | Some m -> (m.pm_prepared, m.pm_max_regs, m.pm_fetch_lines)
-    | None ->
-      let prepared =
-        List.map
-          (fun (sched, trips, phase) ->
-            let nregs = Loop.max_reg_id sched.Schedule.loop + 1 in
-            (sched, trips, phase, prepare sched, nregs))
-          exe.schedules
-      in
-      let max_regs = List.fold_left (fun acc (_, _, _, _, n) -> max acc n) 1 prepared in
-      let iline = Cache.line_bytes st.l1i in
-      let nlines = max 1 ((exe.total_code_bytes + iline - 1) / iline) in
-      let fetch_lines = Array.init nlines (fun l -> code_base + (l * iline)) in
-      (prepared, max_regs, fetch_lines)
-  in
+  let pm = plan_memo_of st exe ~max_sim_iters in
+  let prepared = pm.pm_prepared and max_regs = pm.pm_max_regs in
+  let fetch_lines = pm.pm_fetch_lines and l2_sets = pm.pm_l2_sets in
   let reg_ready = Array.make max_regs 0 in
   let stats = empty_stats () in
   let total = ref 0 in
-  let ctr = { c_iters = 0; c_ff_iters = 0; c_entries = 0; c_entries_skipped = 0 } in
+  let ctr = { c_iters = 0; c_entries = 0; c_entries_skipped = 0 } in
   let h0 =
     ( Cache.hits st.l1d, Cache.misses st.l1d,
       Cache.hits st.l1i, Cache.misses st.l1i,
@@ -811,77 +650,14 @@ let run_profiled ?(max_sim_iters = 400) st exe =
      state is already snapshot-equal to the state the skipped entries
      would leave behind, so nothing is mutated.
 
-     The comparison is bounded: the full (small) L1s, but only the L2
-     sets this executable can ever touch — data-reference and fetch-line
-     addresses are pure functions of the iteration index, so the reachable
-     set list is enumerable up front and every other L2 set is inert.
-     When the scrub floods every I-cache set with at least [assoc]
-     distinct scratch lines, the post-scrub I-cache state is one fixed
-     state regardless of what preceded it, and that compare is elided. *)
-  let entry_skip_on = !fast_forward && exact_entries >= 1 in
+     The comparison is bounded: the full (small) L1s, but only the
+     reachable L2 sets.  When the scrub floods every I-cache set with at
+     least [assoc] distinct scratch lines, the post-scrub I-cache state is
+     one fixed state regardless of what preceded it, and that compare is
+     elided. *)
   let scrub_canon_l1i =
     inter_entry_dirty_ilines / Cache.sets st.l1i >= Cache.assoc st.l1i
   in
-  let l2_sets =
-    if not entry_skip_on then [||]
-    else
-      match memo0 with
-      | Some { pm_l2_sets = Some s; _ } -> s
-      | _ -> begin
-      let marks = Array.make (Cache.sets st.l2) false in
-      Array.iter (fun addr -> marks.(Cache.set_of_addr st.l2 addr) <- true) fetch_lines;
-      List.iter
-        (fun (_, trips, phase, pl, _) ->
-          let iters = min trips max_sim_iters in
-          for r = 0 to pl.n_refs - 1 do
-            if pl.r_indirect.(r) then
-              for it = 0 to iters - 1 do
-                let addr =
-                  pl.r_base.(r)
-                  + (pl.r_elem.(r) * indirect_index pl.r_uid.(r) (phase + it) pl.r_len.(r))
-                in
-                marks.(Cache.set_of_addr st.l2 addr) <- true
-              done
-            else begin
-              let len = pl.r_len.(r) in
-              let idx =
-                ref ((((pl.r_stride.(r) * phase) + pl.r_offset.(r)) mod len + len) mod len)
-              in
-              (* direct indices cycle within [len] steps *)
-              for _ = 1 to min iters len do
-                let addr = pl.r_base.(r) + (pl.r_elem.(r) * !idx) in
-                marks.(Cache.set_of_addr st.l2 addr) <- true;
-                let nx = !idx + pl.r_stride_mod.(r) in
-                idx := if nx >= len then nx - len else nx
-              done
-            end
-          done)
-        prepared;
-      let n = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 marks in
-      let out = Array.make n 0 in
-      let j = ref 0 in
-      Array.iteri
-        (fun i b ->
-          if b then begin
-            out.(!j) <- i;
-            incr j
-          end)
-        marks;
-      out
-    end
-  in
-  st.plan_memo <-
-    Some
-      {
-        pm_exe = exe;
-        pm_iters = max_sim_iters;
-        pm_prepared = prepared;
-        pm_max_regs = max_regs;
-        pm_fetch_lines = fetch_lines;
-        pm_l2_sets =
-          (if entry_skip_on then Some l2_sets
-           else match memo0 with Some m -> m.pm_l2_sets | None -> None);
-      };
   (* Snapshot layout: the reachable L2 sets first, then L1D, then L1I
      (elided when the scrub canonicalises it).  L2 leads because the
      scrub never touches it, so the skip check can compare it against
@@ -953,22 +729,18 @@ let run_profiled ?(max_sim_iters = 400) st exe =
   in
   let prev_entry =
     ref
-      (if not entry_skip_on then None
-       else
-         match st.entry_memo with
-         | Some m when m.m_exe == exe && m.m_iters = max_sim_iters ->
-           Some (m.m_snap, m.m_records, m.m_cycles)
-         | _ -> None)
+      (match st.entry_memo with
+      | Some m when m.m_exe == exe && m.m_iters = max_sim_iters ->
+        Some (m.m_snap, m.m_records, m.m_cycles)
+      | _ -> None)
   in
   let entry = ref 1 in
   while !entry <= exact_entries do
     let skip =
-      if not entry_skip_on then None
-      else
-        match !prev_entry with
-        | Some (snap_p, records, d_cycles) ->
-          if post_scrub_matches snap_p then Some (records, d_cycles) else None
-        | None -> None
+      match !prev_entry with
+      | Some (snap_p, records, d_cycles) ->
+        if post_scrub_matches snap_p then Some (records, d_cycles) else None
+      | None -> None
     in
     match skip with
     | Some (records, d_cycles) ->
@@ -990,7 +762,7 @@ let run_profiled ?(max_sim_iters = 400) st exe =
          entry's snapshot is always recorded: it seeds the cross-call memo
          for the next run of this executable. *)
       let snap_after =
-        if entry_skip_on && (!entry > 1 || exact_entries = 1) then Some (snap_entry ())
+        if !entry > 1 || exact_entries = 1 then Some (snap_entry ())
         else None
       in
       Array.fill reg_ready 0 max_regs 0;
@@ -1031,16 +803,14 @@ let run_profiled ?(max_sim_iters = 400) st exe =
     stats.entry_overhead_cycles <- stats.entry_overhead_cycles + scale stats.entry_overhead_cycles;
     total := !total + (extra_entries * !last_entry_cycles)
   end;
-  (if entry_skip_on then
-     match !prev_entry with
-     | Some (sn, records, d) ->
-       st.entry_memo <-
-         Some { m_exe = exe; m_iters = max_sim_iters; m_snap = sn; m_records = records; m_cycles = d }
-     | None -> ());
+  (match !prev_entry with
+  | Some (sn, records, d) ->
+    st.entry_memo <-
+      Some { m_exe = exe; m_iters = max_sim_iters; m_snap = sn; m_records = records; m_cycles = d }
+  | None -> ());
   let tel = Telemetry.global in
   let d1h, d1m, i1h, i1m, l2h, l2m = h0 in
   Telemetry.incr tel ~pass:"simulator" "iters-simulated" ctr.c_iters;
-  Telemetry.incr tel ~pass:"simulator" "iters-fast-forwarded" ctr.c_ff_iters;
   Telemetry.incr tel ~pass:"simulator" "entries-simulated" ctr.c_entries;
   Telemetry.incr tel ~pass:"simulator" "entries-skipped" ctr.c_entries_skipped;
   Telemetry.incr tel ~pass:"simulator" "l1d-hits" (Cache.hits st.l1d - d1h);

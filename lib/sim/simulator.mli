@@ -25,14 +25,6 @@ type state
 val create_state : Machine.t -> state
 val reset_state : state -> unit
 
-val fast_forward : bool ref
-(** Master switch (default [true]) for the exact fast paths: fetch-hit
-    skipping, steady-state entry skipping and wrap-period iteration
-    fast-forwarding.  Cycle totals, {!stats} breakdowns and downstream
-    labels are bit-identical with the switch on or off (property-tested
-    against [Sim_reference]); only wall-clock time and the telemetry
-    counters differ.  Exists so benchmarks can time both paths. *)
-
 type executable = Pipeline_state.executable = {
   schedules : (Schedule.t * int * int) list;
   (** [(schedule, trips, phase)] in execution order: the unrolled kernel
@@ -66,7 +58,10 @@ val run : ?max_sim_iters:int -> state -> executable -> int
 (** Total cycles to execute the loop nest over all its entries.  Per loop
     entry at most [max_sim_iters] (default 400) iterations are simulated
     exactly; longer executions extrapolate from the steady-state tail.
-    Deterministic. *)
+    Deterministic.  The exact fast paths (fetch-hit skipping and
+    steady-state entry skipping) change only wall-clock time and the
+    telemetry counters: cycles and {!stats} are bit-identical to
+    [Sim_reference] (property-tested). *)
 
 type stats = {
   mutable issue_cycles : int;          (** static schedule issue slots *)

@@ -6,8 +6,8 @@
     Each batch of tasks is distributed over per-participant Chase–Lev
     deques: owners pop their own deque LIFO, idle participants steal from
     the top with a single lock-free compare-and-set, so heavy-tailed task
-    costs (a labelling sweep where fast-forwarded loops finish 100x sooner
-    than simulated ones) rebalance automatically instead of leaving cores
+    costs (a labelling sweep where loops whose entries are skipped finish
+    100x sooner than simulated ones) rebalance automatically instead of leaving cores
     idle behind a straggler.
 
     Determinism is the repo's standing contract and holds at every [jobs]

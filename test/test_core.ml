@@ -191,13 +191,12 @@ let test_predictor_learned_roundtrip () =
   let features = Array.init Features.count (fun i -> i) in
   let nn = Predictor.train_nn config ~features ds in
   let svm = Predictor.train_svm ~cap:150 config ~features ds in
-  let tree = Predictor.train_tree config ~features ds in
   let l = Kernels.daxpy ~name:"p_learned" ~trip:256 in
   List.iter
     (fun p ->
       let u = Predictor.predict p config ~swp:false l in
       Alcotest.(check bool) (Predictor.name p ^ " in range") true (u >= 1 && u <= 8))
-    [ nn; svm; tree ]
+    [ nn; svm ]
 
 let test_compiler_speedup_oracle_dominates () =
   let labeled = Lazy.force labeled_cache in

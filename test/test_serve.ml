@@ -117,6 +117,68 @@ let test_oversized_length_rejected () =
     Alcotest.(check bool) ("names the cap: " ^ msg) true (contains ~sub:"cap" msg)
   | _ -> Alcotest.fail "absurd length prefix accepted"
 
+let test_reader_over_socketpair () =
+  (* [Wire.next] over a real socket: reads arrive in arbitrary pieces.  The
+     receive timeout turns a reader that waits for bytes never sent into a
+     failure instead of a hang. *)
+  let with_pair f =
+    let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float r Unix.SO_RCVTIMEO 10.0;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close w;
+        Unix.close r)
+      (fun () -> f w (Wire.reader r))
+  in
+  let write_all fd s =
+    let off = ref 0 in
+    while !off < String.length s do
+      off := !off + Unix.write_substring fd s !off (String.length s - !off)
+    done
+  in
+  (* A frame at the payload cap, trickled in 1,500-byte writes. *)
+  with_pair (fun w rd ->
+      let payload = String.init Wire.max_payload (fun i -> Char.chr ((i * 31) land 0xff)) in
+      let frame = Wire.encode payload in
+      let writer =
+        Thread.create
+          (fun () ->
+            let off = ref 0 in
+            while !off < String.length frame do
+              let n = min 1500 (String.length frame - !off) in
+              write_all w (String.sub frame !off n);
+              off := !off + n
+            done)
+          ()
+      in
+      let got = Wire.next rd in
+      Thread.join writer;
+      match got with
+      | `Payload p -> Alcotest.(check bool) "cap-sized payload intact" true (p = payload)
+      | `Corrupt msg -> Alcotest.fail ("cap-sized frame: " ^ msg)
+      | `Eof -> Alcotest.fail "cap-sized frame: eof");
+  (* Two frames in one write come out as two payloads, then end of stream. *)
+  with_pair (fun w rd ->
+      write_all w (Wire.encode "first" ^ Wire.encode "second");
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      let show = function
+        | `Payload p -> "payload " ^ p
+        | `Corrupt msg -> "corrupt " ^ msg
+        | `Eof -> "eof"
+      in
+      List.iter
+        (fun want -> Alcotest.(check string) "frame sequence" want (show (Wire.next rd)))
+        [ "payload first"; "payload second"; "eof" ]);
+  (* A length past the cap is refused from the prefix alone: no body is
+     ever sent, so a reader that waited for one would time out. *)
+  with_pair (fun w rd ->
+      let prefix = Bytes.create 4 in
+      Bytes.set_int32_be prefix 0 (Int32.of_int (Wire.max_payload + 1));
+      write_all w (Bytes.to_string prefix);
+      match Wire.next rd with
+      | `Corrupt msg -> Alcotest.(check bool) ("names the cap: " ^ msg) true (contains ~sub:"cap" msg)
+      | `Payload _ | `Eof -> Alcotest.fail "oversized length prefix accepted")
+
 (* --- server harness ------------------------------------------------------- *)
 
 let default_test_opts =
@@ -559,6 +621,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interior_corruption_rejected;
     ("frame stream decodes in sequence", `Quick, test_frame_stream);
     ("oversized length prefix rejected", `Quick, test_oversized_length_rejected);
+    ("reader reassembles frames from a socket", `Quick, test_reader_over_socketpair);
     ("multi-client bit-identical", `Slow, test_multi_client_bit_identical);
     ("backpressure sheds explicitly", `Slow, test_backpressure_sheds_explicitly);
     ("hot reload under load", `Slow, test_hot_reload_under_load);

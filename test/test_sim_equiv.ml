@@ -1,9 +1,9 @@
-(* The fast-path contract: [Simulator] with its steady-state fast-forwards
-   (fetch skip, entry skip, wrap-period replay), memoised dependence graphs
-   and array kernels must be bit-identical — total cycles AND the six-way
-   stats breakdown, on warm states as well as cold — to [Sim_reference],
-   the frozen pre-optimisation implementation.  See DESIGN.md §9 for the
-   exactness arguments these properties back. *)
+(* The fast-path contract: [Simulator] with its steady-state skips (fetch
+   skip, entry skip), memoised dependence graphs and array kernels must be
+   bit-identical — total cycles AND the six-way stats breakdown, on warm
+   states as well as cold — to [Sim_reference], the frozen
+   pre-optimisation implementation.  See DESIGN.md §9 for the exactness
+   arguments these properties back. *)
 
 let machine = Machine.itanium2
 
@@ -45,8 +45,8 @@ let gen =
     let* iters = oneofl [ 40; 75; 200 ] in
     let* small_arrays = bool in
     let l = Fuzz.Gen.synth_loop ~prefix:"qe" seed in
-    (* Small arrays wrap within the simulated window, which is what engages
-       the wrap-period fast-forward. *)
+    (* Small arrays wrap within the simulated window, so addresses come
+       round again inside one entry. *)
     let l = if small_arrays then Fuzz.Gen.with_array_lengths l (3 + (seed mod 13)) else l in
     let l = { l with Loop.trip_actual = 1 + (seed mod 900) } in
     return (l, f, swp, iters))
@@ -59,58 +59,39 @@ let prop_fast_equals_reference =
       let exe = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp loop f in
       naive_pair exe iters = fast_pair exe iters)
 
-let prop_fast_forward_flag_is_pure =
-  QCheck.Test.make ~count:120
-    ~name:"fast_forward off takes the naive route to the same bits"
-    (QCheck.make gen)
-    (fun (loop, f, swp, iters) ->
-      let exe = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp loop f in
-      let on = fast_pair exe iters in
-      Simulator.fast_forward := false;
-      let off =
-        Fun.protect
-          ~finally:(fun () -> Simulator.fast_forward := true)
-          (fun () -> fast_pair exe iters)
-      in
-      on = off)
-
 (* --- shared dependence graphs ------------------------------------------ *)
 
 let test_deps_memo_transparent () =
   (* Memoised CSR graphs must change nothing downstream: same schedules
-     (including the attached CSR), same feature vectors. *)
-  let with_memo enabled f =
-    let prev = !Deps_memo.enabled in
-    Deps_memo.enabled := enabled;
-    Fun.protect ~finally:(fun () -> Deps_memo.enabled := prev) f
-  in
+     (including the attached CSR), same feature vectors.  A capacity-0
+     memo never stores, so every lookup through it builds a fresh graph. *)
+  let unmemoised = Deps_memo.create ~capacity:0 ~telemetry:(Telemetry.create ()) () in
   List.iter
     (fun (name, maker) ->
       let loop = maker ~name ~trip:96 in
       List.iter
         (fun swp ->
           let off =
-            with_memo false (fun () ->
-                Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop 4)
+            Pipeline_state.executable_exn
+              (Pipeline.run (Pipeline_state.init ~deps_memo:unmemoised machine ~swp loop 4))
           in
-          let on =
-            with_memo true (fun () ->
-                Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop 4)
-          in
+          let on = Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop 4 in
           if off <> on then Alcotest.failf "%s swp=%b: schedules differ under memo" name swp)
         [ false; true ];
-      let f_off = with_memo false (fun () -> Features.extract machine loop) in
-      let f_on = with_memo true (fun () -> Features.extract machine loop) in
-      Alcotest.(check (array (float 0.0))) (name ^ " features") f_off f_on)
+      Deps_memo.clear Deps_memo.global;
+      let f_miss = Features.extract machine loop in
+      let f_hit = Features.extract machine loop in
+      Alcotest.(check (array (float 0.0))) (name ^ " features") f_miss f_hit)
     Kernels.all
 
 (* --- end-to-end labels -------------------------------------------------- *)
 
 let test_labels_unchanged_by_fast_paths () =
   (* The sweep that labels the FAST suite — noise, cycle filters, argmin —
-     must produce the same cycles and therefore the same best factor with
-     the fast paths on and off.  Fresh compile caches per run so nothing is
-     served from the cycles memo. *)
+     must produce the same cycles and therefore the same best factor as
+     the same sweep measured on [Sim_reference]: warm-up/measure pairs,
+     then the same noisy median from the same RNG seed.  Fresh compile
+     caches per run so nothing is served from the cycles memo. *)
   let benchmarks =
     Suite.full ~scale:0.04 ~seed:Config.fast.Config.seed
     |> List.filteri (fun i _ -> i < 4)
@@ -118,27 +99,33 @@ let test_labels_unchanged_by_fast_paths () =
   let loops = List.concat_map (fun (b : Suite.benchmark) ->
       Array.to_list (Array.map fst b.Suite.loops)) benchmarks
   in
+  let noise = 0.015 and runs = 5 and max_sim_iters = 150 in
   let sweep loop =
     let rng = Rng.create 2005 in
-    Measure.sweep ~noise:0.015 ~runs:5 ~max_sim_iters:150
-      ~cache:(Compile_cache.create ()) ~rng ~machine ~swp:false loop
+    Measure.sweep ~noise ~runs ~max_sim_iters ~cache:(Compile_cache.create ()) ~rng ~machine
+      ~swp:false loop
+  in
+  let reference_sweep loop =
+    let rng = Rng.create 2005 in
+    let cache = Compile_cache.create () in
+    Array.init Unroll.max_factor (fun i ->
+        let exe = Simulator.compile ~cache machine ~swp:false loop (i + 1) in
+        let st = Sim_reference.create_state machine in
+        ignore (Sim_reference.run ~max_sim_iters st exe);
+        let cycles = Sim_reference.run ~max_sim_iters st exe in
+        Measure.noisy_median ~rng ~noise ~runs (fun () -> cycles))
   in
   List.iter
     (fun loop ->
-      let on = sweep loop in
-      Simulator.fast_forward := false;
-      let off =
-        Fun.protect
-          ~finally:(fun () -> Simulator.fast_forward := true)
-          (fun () -> sweep loop)
-      in
-      Alcotest.(check (array int)) (loop.Loop.name ^ " cycles") off on;
+      let fast = sweep loop in
+      let reference = reference_sweep loop in
+      Alcotest.(check (array int)) (loop.Loop.name ^ " cycles") reference fast;
       let argmin a =
         let best = ref 0 in
         Array.iteri (fun i v -> if v < a.(!best) then best := i) a;
         !best + 1
       in
-      Alcotest.(check int) (loop.Loop.name ^ " best factor") (argmin off) (argmin on))
+      Alcotest.(check int) (loop.Loop.name ^ " best factor") (argmin reference) (argmin fast))
     loops
 
 (* --- RecMII upper bound ------------------------------------------------- *)
@@ -187,7 +174,6 @@ let test_rec_mii_long_recurrence () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fast_equals_reference;
-    QCheck_alcotest.to_alcotest prop_fast_forward_flag_is_pure;
     ("deps memo transparent to schedules and features", `Quick, test_deps_memo_transparent);
     ("labels unchanged by fast paths", `Slow, test_labels_unchanged_by_fast_paths);
     ("RecMII within graph-derived bound", `Quick, test_rec_mii_bracketed_by_graph_bound);
