@@ -520,8 +520,7 @@ let train_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [ ("nn", Train.Nn); ("svm", Train.Svm); ("mlp", Train.Mlp); ("best", Train.Best) ])
+          (enum Train.model_choices)
           Train.Best
       & info [ "model" ] ~docv:"M"
           ~doc:
@@ -687,8 +686,8 @@ let train_cmd =
                 (Model_artifact.label_space_name artifact.Model_artifact.label_space)
                 report.Train.kept report.Train.measured
                 (Array.length report.Train.features);
-              Printf.printf "cross-validation accuracy: nn %.3f, svm %.3f, mlp %.3f\n"
-                report.Train.nn_loocv report.Train.svm_loocv report.Train.mlp_loocv;
+              Printf.printf "cross-validation accuracy: %s\n"
+                (Train.cv_summary report.Train.cv_scores);
               Printf.printf "dataset digest: %s\n" report.Train.dataset_digest;
               Printf.printf "wrote %s\n" output))
   in

@@ -39,11 +39,7 @@ let nn_accuracy config train test =
       (fun (e : Dataset.example) ->
         (* Re-extraction needs the loop, which we no longer have here, so
            classify directly in feature space. *)
-        match model with
-        | Predictor.Nn { nn_model; nn_scaler; nn_features } ->
-          let x = Array.map (fun j -> e.Dataset.features.(j)) nn_features in
-          Knn.predict nn_model (Scale.transform nn_scaler x)
-        | _ -> assert false)
+        Predictor.classify_scaled model (Predictor.featurize_raw model e.Dataset.features))
       test.Dataset.examples
   in
   Metrics.accuracy ~pred ~truth:(Dataset.labels test)

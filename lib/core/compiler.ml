@@ -41,28 +41,26 @@ let benchmark_speedup config ~swp predictor ~baseline (b : Suite.benchmark) labe
     1.0 /. ((1.0 -. f) +. (f *. ratio))
   end
 
-let speedup_rows ?(jobs = 1) (config : Config.t) ~swp ~features ~benchmarks ~dataset
-    labeled =
-  (* Leave-one-benchmark-out protocol (§6.1): for each benchmark, train the
-     learners on every other benchmark's loops, then realise the speedup on
-     the held-out one.  The retrainings are independent, so they fan out
-     over [jobs] worker domains; rows come back in benchmark order.  Within
-     a row the NN and SVM trainings are themselves independent, so when the
-     scheduler has room they run as a nested fork-join — idle workers steal
-     one half instead of waiting out the row. *)
+type row = { bench : string; fp : bool; learned : (string * float) list; oracle : float }
+
+let speedup_rows ?(jobs = 1) (config : Config.t) ~features ~benchmarks ~dataset speedup =
+  (* Leave-one-benchmark-out protocol (§6.1): for each benchmark, train
+     every learner on every other benchmark's loops, then realise the
+     speedup on the held-out one.  The retrainings are independent, so
+     they fan out over [jobs] worker domains; rows come back in benchmark
+     order.  Within a row the learners' trainings are themselves
+     independent, so when the scheduler has room they run as a nested
+     batch — idle workers steal one instead of waiting out the row. *)
   Parallel.map ~jobs
     (fun (b : Suite.benchmark) ->
       let train = Dataset.without_group dataset b.Suite.bname in
-      let nn, svm =
-        Parallel.fork_join
-          ~jobs:(if jobs > 1 then 2 else 1)
-          (fun () -> Predictor.train_nn config ~features train)
-          (fun () ->
-            Predictor.train_svm ~cap:config.Config.fig4_svm_cap config ~features train)
+      let learned =
+        Parallel.map_list
+          ~jobs:(min jobs (List.length Learner.all))
+          (fun l -> (Learner.name l, speedup (Predictor.fit l config ~features train) b))
+          Learner.all
       in
-      let mlp = Predictor.train_mlp config ~features train in
-      let sp p = benchmark_speedup config ~swp p ~baseline:Predictor.Orc b labeled in
-      (b.Suite.bname, b.Suite.fp, sp nn, sp svm, sp mlp, sp Predictor.Oracle))
+      { bench = b.Suite.bname; fp = b.Suite.fp; learned; oracle = speedup Predictor.Oracle b })
     (Array.of_list benchmarks)
 
 (* --- joint (factor × SWP) realisation ------------------------------------ *)
@@ -72,9 +70,9 @@ type space = Pinned of bool | Joint
 (* The generalised engine below works over loops carrying the 16 merged
    cycle counts of Labeling.merge_joint; a decision (factor, swp) costs
    the merged entry at its Joint class.  [Pinned s] restricts decisions to
-   one SWP setting — deliberately re-deriving what [speedup_rows] computes
-   over a single-space sweep, so the two implementations can be checked
-   against each other. *)
+   one SWP setting — deliberately re-deriving what [benchmark_speedup]
+   computes over a single-space sweep, so the two implementations can be
+   checked against each other. *)
 
 let joint_cost (l : Labeling.labeled) ~factor ~swp =
   float_of_int l.Labeling.cycles.(Labeling.Joint.encode ~factor ~swp)
@@ -119,25 +117,3 @@ let joint_benchmark_speedup config ~space predictor ~baseline (b : Suite.benchma
     let f = b.Suite.loop_fraction in
     1.0 /. ((1.0 -. f) +. (f *. ratio))
   end
-
-let joint_speedup_rows ?(jobs = 1) (config : Config.t) ~space ~features ~benchmarks
-    ~dataset merged =
-  (* Same LOBO protocol as [speedup_rows], over decisions in [space]: the
-     caller supplies the matching dataset (8-way single-space for
-     [Pinned], 16-way joint for [Joint]) and the merged sweep.  The ORC
-     baseline runs at the pinned SWP setting, or at SWP off for [Joint] —
-     the hand heuristic never enables pipelining by itself. *)
-  Parallel.map ~jobs
-    (fun (b : Suite.benchmark) ->
-      let train = Dataset.without_group dataset b.Suite.bname in
-      let nn, svm =
-        Parallel.fork_join
-          ~jobs:(if jobs > 1 then 2 else 1)
-          (fun () -> Predictor.train_nn config ~features train)
-          (fun () ->
-            Predictor.train_svm ~cap:config.Config.fig4_svm_cap config ~features train)
-      in
-      let mlp = Predictor.train_mlp config ~features train in
-      let sp p = joint_benchmark_speedup config ~space p ~baseline:Predictor.Orc b merged in
-      (b.Suite.bname, b.Suite.fp, sp nn, sp svm, sp mlp, sp Predictor.Oracle))
-    (Array.of_list benchmarks)

@@ -31,18 +31,30 @@ val benchmark_speedup :
     weights, and the benchmark's loop fraction.  Per-loop picks go through
     {!predictions_for}. *)
 
+type row = {
+  bench : string;
+  fp : bool;                        (** SPECfp member *)
+  learned : (string * float) list;  (** per learner, in {!Learner.all} order *)
+  oracle : float;
+}
+(** One benchmark's speedups over a baseline. *)
+
 val speedup_rows :
   ?jobs:int ->
-  Config.t -> swp:bool -> features:int array ->
+  Config.t -> features:int array ->
   benchmarks:Suite.benchmark list -> dataset:Dataset.t ->
-  Labeling.labeled array ->
-  (string * bool * float * float * float * float) array
-(** One row per benchmark under the leave-one-benchmark-out protocol of
-    §6.1: [(name, is_fp, nn, svm, mlp, oracle)] speedups over the ORC
-    baseline.  The learners are retrained per benchmark on the other
-    benchmarks' loops (restricted to [features]); retrainings run across
-    [jobs] worker domains (default 1), with the NN and SVM of a row
-    trained as a nested fork-join, and order-independent output. *)
+  (Predictor.t -> Suite.benchmark -> float) ->
+  row array
+(** The leave-one-benchmark-out driver of §6.1: for each benchmark, every
+    learner is retrained on the other benchmarks' examples of [dataset]
+    (restricted to [features]) and its speedup on the held-out benchmark
+    is [speedup predictor bench]; the oracle gets the same function.  The
+    caller picks the engine and baseline — {!benchmark_speedup} for one
+    SWP setting, {!joint_benchmark_speedup} for a decision space — and
+    supplies the matching dataset (8-way for a single space, 16-way for
+    [Joint]).  Retrainings run across [jobs] worker domains (default 1),
+    with a row's learners trained as a nested batch; output is
+    independent of [jobs]. *)
 
 (** The decision space a realisation runs over. *)
 type space =
@@ -58,15 +70,3 @@ val joint_benchmark_speedup :
     {!Labeling.Joint} class.  [Pinned s] restricts every decision (and
     the oracle's argmin) to SWP setting [s] — an independent re-derivation
     of the single-space engine, testable against it. *)
-
-val joint_speedup_rows :
-  ?jobs:int ->
-  Config.t -> space:space -> features:int array ->
-  benchmarks:Suite.benchmark list -> dataset:Dataset.t ->
-  Labeling.labeled array ->
-  (string * bool * float * float * float * float) array
-(** {!speedup_rows} over a decision space: [(name, is_fp, nn, svm, mlp,
-    oracle)] against the ORC baseline (ORC runs at the pinned setting,
-    or at SWP off for [Joint]).  The caller supplies the dataset matching
-    the space — 8-way single-space for [Pinned], 16-way joint for
-    [Joint] — and the merged sweep from {!Labeling.merge_joint}. *)

@@ -1,5 +1,3 @@
-type speedup_row = string * bool * float * float * float * float
-
 type env = {
   config : Config.t;
   benchmarks : Suite.benchmark list;
@@ -12,9 +10,9 @@ type env = {
   dataset_on : Dataset.t;
   dataset_joint : Dataset.t;
   selected : int array;
-  rows_off : speedup_row array Lazy.t;
-  rows_on : speedup_row array Lazy.t;
-  rows_joint : speedup_row array Lazy.t;
+  rows_off : Compiler.row array Lazy.t;
+  rows_on : Compiler.row array Lazy.t;
+  rows_joint : Compiler.row array Lazy.t;
 }
 
 let info progress fmt =
@@ -102,10 +100,13 @@ let build_env ?(progress = true) (config : Config.t) =
         | _ -> false)
       benchmarks
   in
-  let rows ~swp labeled dataset =
+  let rows dataset speedup =
     lazy
-      (Compiler.speedup_rows ~jobs:config.Config.jobs config ~swp ~features:selected
-         ~benchmarks:spec ~dataset labeled)
+      (Compiler.speedup_rows ~jobs:config.Config.jobs config ~features:selected
+         ~benchmarks:spec ~dataset speedup)
+  in
+  let single ~swp labeled p b =
+    Compiler.benchmark_speedup config ~swp p ~baseline:Predictor.Orc b labeled
   in
   {
     config;
@@ -119,12 +120,12 @@ let build_env ?(progress = true) (config : Config.t) =
     dataset_on;
     dataset_joint;
     selected;
-    rows_off = rows ~swp:false labeled_off dataset_off;
-    rows_on = rows ~swp:true labeled_on dataset_on;
+    rows_off = rows dataset_off (single ~swp:false labeled_off);
+    rows_on = rows dataset_on (single ~swp:true labeled_on);
     rows_joint =
-      lazy
-        (Compiler.joint_speedup_rows ~jobs:config.Config.jobs config ~space:Compiler.Joint
-           ~features:selected ~benchmarks:spec ~dataset:dataset_joint merged);
+      rows dataset_joint (fun p b ->
+          Compiler.joint_benchmark_speedup config ~space:Compiler.Joint p
+            ~baseline:Predictor.Orc b merged);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -136,17 +137,7 @@ let scaled_selected env dataset =
 
 let factor_name i = Printf.sprintf "%d" (i + 1)
 
-let cap_examples ds cap =
-  let n = Dataset.size ds in
-  if n <= cap then ds
-  else begin
-    let stride = float_of_int n /. float_of_int cap in
-    let keep = List.init cap (fun i -> int_of_float (float_of_int i *. stride)) in
-    {
-      ds with
-      Dataset.examples = Array.of_list (List.map (fun i -> ds.Dataset.examples.(i)) keep);
-    }
-  end
+let upper_name l = String.uppercase_ascii (Learner.name l)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3                                                            *)
@@ -179,33 +170,22 @@ let fig3 env =
 (* ------------------------------------------------------------------ *)
 (* Table 2                                                             *)
 
+(* The paper's accuracy figures, where it reports one. *)
+let paper_accuracy = [ ("NN", "62%"); ("SVM", "65%"); ("ORC", "16%") ]
+
 let table2 env =
   let config = env.config in
   let ds = scaled_selected env env.dataset_off in
-  let pairs = Dataset.points ds in
-  let truth = Dataset.labels ds in
-  let costs = Array.map (fun e -> e.Dataset.costs) ds.Dataset.examples in
-  let nn = Knn.train ~radius:config.Config.knn_radius ~n_classes:ds.Dataset.n_classes pairs in
-  let nn_pred = Knn.loo_predictions ~jobs:config.Config.jobs nn in
-  let svm_ds = cap_examples ds config.Config.loocv_svm_cap in
-  let svm_pairs = Dataset.points svm_ds in
-  let svm_pred =
-    Multiclass.loo_predictions ~jobs:config.Config.jobs ~n_classes:ds.Dataset.n_classes
-      ~kernel:config.Config.svm_kernel ~gamma:config.Config.svm_gamma svm_pairs
-  in
-  let svm_truth = Dataset.labels svm_ds in
-  let svm_costs = Array.map (fun e -> e.Dataset.costs) svm_ds.Dataset.examples in
-  (* The MLP has no closed-form leave-one-out shortcut; per-example
-     retraining is O(N × SGD), so it is scored leave-one-benchmark-out
-     (one retraining per group — the §6.1 protocol). *)
-  let mlp_pred =
-    Loocv.grouped ~jobs:config.Config.jobs
-      ~groups:(Array.map (fun e -> e.Dataset.group) ds.Dataset.examples)
-      ~train:(fun p ->
-        fst
-          (Mlp.train ~seed:config.Config.mlp_seed ~hyper:config.Config.mlp_hyper
-             ~n_classes:ds.Dataset.n_classes p))
-      ~predict:Mlp.predict pairs
+  let costs_of (d : Dataset.t) = Array.map (fun e -> e.Dataset.costs) d.Dataset.examples in
+  (* Every learner under its own protocol ({!Learner.cross_validate}):
+     closed-form LOO for NN and the (capped) SVM; the MLP has no
+     closed-form shortcut, so it is scored leave-one-benchmark-out. *)
+  let scored =
+    List.map
+      (fun l ->
+        let sub, pred = Learner.cross_validate ~jobs:config.Config.jobs l config ds in
+        (upper_name l, sub, pred))
+      Learner.all
   in
   let orc_pred =
     Array.map
@@ -213,21 +193,15 @@ let table2 env =
         Orc_heuristic.no_swp config.Config.machine l.Labeling.loop - 1)
       env.filtered_off
   in
-  let nn_rank = Metrics.rank_distribution ~pred:nn_pred ~costs in
-  let svm_rank = Metrics.rank_distribution ~pred:svm_pred ~costs:svm_costs in
-  let mlp_rank = Metrics.rank_distribution ~pred:mlp_pred ~costs in
-  let orc_rank = Metrics.rank_distribution ~pred:orc_pred ~costs in
-  let penalty = Metrics.rank_cost_penalty ~costs in
+  let columns = scored @ [ ("ORC", ds, orc_pred) ] in
+  let ranks =
+    List.map (fun (_, sub, pred) -> Metrics.rank_distribution ~pred ~costs:(costs_of sub)) columns
+  in
+  let penalty = Metrics.rank_cost_penalty ~costs:(costs_of ds) in
   let t =
     Table.create ~title:"Table 2: accuracy of predictions (LOOCV, SWP disabled)"
-      [
-        ("Prediction correctness", Table.Left);
-        ("NN", Table.Right);
-        ("SVM", Table.Right);
-        ("MLP", Table.Right);
-        ("ORC", Table.Right);
-        ("Cost", Table.Right);
-      ]
+      ((("Prediction correctness", Table.Left) :: List.map (fun (n, _, _) -> (n, Table.Right)) columns)
+      @ [ ("Cost", Table.Right) ])
   in
   let rank_label = function
     | 0 -> "Optimal unroll factor"
@@ -241,28 +215,26 @@ let table2 env =
   in
   for r = 0 to Unroll.max_factor - 1 do
     Table.add_row t
-      [
-        rank_label r;
-        Table.cell_float ~decimals:2 nn_rank.(r);
-        Table.cell_float ~decimals:2 svm_rank.(r);
-        Table.cell_float ~decimals:2 mlp_rank.(r);
-        Table.cell_float ~decimals:2 orc_rank.(r);
-        Printf.sprintf "%.2fx" penalty.(r);
-      ]
+      ((rank_label r :: List.map (fun rank -> Table.cell_float ~decimals:2 rank.(r)) ranks)
+      @ [ Printf.sprintf "%.2fx" penalty.(r) ])
   done;
-  let within7 p c = Metrics.within_of_optimal ~pred:p ~costs:c 1.07 in
+  let accuracy (n, sub, pred) =
+    Printf.sprintf "%s accuracy %s%s" n
+      (Table.cell_pct (Metrics.accuracy ~pred ~truth:(Dataset.labels sub)))
+      (match List.assoc_opt n paper_accuracy with
+      | Some p -> Printf.sprintf " (paper %s)" p
+      | None -> "")
+  in
+  let _, svm_ds, svm_pred = List.find (fun (n, _, _) -> n = "SVM") scored in
+  let svm_rank = Metrics.rank_distribution ~pred:svm_pred ~costs:(costs_of svm_ds) in
   Table.to_string t
+  ^ String.concat " | " (List.map accuracy columns)
   ^ Printf.sprintf
-      "NN accuracy %s (paper 62%%) | SVM accuracy %s (paper 65%%) | MLP accuracy %s | ORC accuracy %s (paper 16%%)\n\
-       SVM optimal-or-second %s (paper 79%%) | SVM within 7%% of optimal %s\n\
+      "\nSVM optimal-or-second %s (paper 79%%) | SVM within 7%% of optimal %s\n\
        truth vs NN agreement on %d examples; SVM LOOCV over %d examples; MLP scored leave-one-benchmark-out\n"
-      (Table.cell_pct (Metrics.accuracy ~pred:nn_pred ~truth))
-      (Table.cell_pct (Metrics.accuracy ~pred:svm_pred ~truth:svm_truth))
-      (Table.cell_pct (Metrics.accuracy ~pred:mlp_pred ~truth))
-      (Table.cell_pct (Metrics.accuracy ~pred:orc_pred ~truth))
       (Table.cell_pct (svm_rank.(0) +. svm_rank.(1)))
-      (Table.cell_pct (within7 svm_pred svm_costs))
-      (Array.length truth) (Array.length svm_truth)
+      (Table.cell_pct (Metrics.within_of_optimal ~pred:svm_pred ~costs:(costs_of svm_ds) 1.07))
+      (Dataset.size ds) (Dataset.size svm_ds)
 
 (* ------------------------------------------------------------------ *)
 (* Tables 3 and 4                                                      *)
@@ -465,57 +437,45 @@ let fig2 env =
 let speedup_rows env ~swp =
   Lazy.force (if swp then env.rows_on else env.rows_off)
 
-let nn_of (_, _, v, _, _, _) = v
-let svm_of (_, _, _, v, _, _) = v
-let mlp_of (_, _, _, _, v, _) = v
-let oracle_of (_, _, _, _, _, v) = v
+let learned name (r : Compiler.row) = List.assoc name r.Compiler.learned
+let oracle (r : Compiler.row) = r.Compiler.oracle
+let fp_rows rows = Array.of_list (List.filter (fun r -> r.Compiler.fp) (Array.to_list rows))
 
 let render_speedups ~title rows =
+  let columns =
+    List.map (fun l -> (upper_name l ^ " v. ORC", learned (Learner.name l))) Learner.all
+    @ [ ("Oracle v. ORC", oracle) ]
+  in
   let t =
     Table.create ~title
-      [
-        ("Benchmark", Table.Left);
-        ("NN v. ORC", Table.Right);
-        ("SVM v. ORC", Table.Right);
-        ("MLP v. ORC", Table.Right);
-        ("Oracle v. ORC", Table.Right);
-      ]
+      (("Benchmark", Table.Left) :: List.map (fun (h, _) -> (h, Table.Right)) columns)
   in
   Array.iter
-    (fun (name, _, nn, svm, mlp, oracle) ->
+    (fun r ->
       Table.add_row t
-        [
-          name;
-          Table.cell_pct (nn -. 1.0);
-          Table.cell_pct (svm -. 1.0);
-          Table.cell_pct (mlp -. 1.0);
-          Table.cell_pct (oracle -. 1.0);
-        ])
+        (r.Compiler.bench :: List.map (fun (_, f) -> Table.cell_pct (f r -. 1.0)) columns))
     rows;
   Table.add_separator t;
-  let agg f rows = Stats.geomean (Array.map f rows) in
-  let fp_rows =
-    Array.of_list (List.filter (fun (_, fp, _, _, _, _) -> fp) (Array.to_list rows))
-  in
   let geomean_row label rows =
     Table.add_row t
-      [
-        label;
-        Table.cell_pct (agg nn_of rows -. 1.0);
-        Table.cell_pct (agg svm_of rows -. 1.0);
-        Table.cell_pct (agg mlp_of rows -. 1.0);
-        Table.cell_pct (agg oracle_of rows -. 1.0);
-      ]
+      (label
+      :: List.map (fun (_, f) -> Table.cell_pct (Stats.geomean (Array.map f rows) -. 1.0)) columns)
   in
   geomean_row "GEOMEAN (all 24)" rows;
-  geomean_row "GEOMEAN (SPECfp)" fp_rows;
-  let wins f =
-    Array.fold_left (fun acc r -> if f r > 1.0 then acc + 1 else acc) 0 rows
+  geomean_row "GEOMEAN (SPECfp)" (fp_rows rows);
+  let total = Array.length rows in
+  let wins name =
+    Array.fold_left (fun acc r -> if learned name r > 1.0 then acc + 1 else acc) 0 rows
   in
+  (* The SVM, the paper's overall winner, leads the tally. *)
+  let others = List.filter (fun l -> Learner.name l <> "svm") Learner.all in
   Table.to_string t
-  ^ Printf.sprintf "SVM beats ORC on %d of %d benchmarks; NN on %d of %d; MLP on %d of %d\n"
-      (wins svm_of) (Array.length rows) (wins nn_of) (Array.length rows) (wins mlp_of)
-      (Array.length rows)
+  ^ Printf.sprintf "SVM beats ORC on %d of %d benchmarks" (wins "svm") total
+  ^ String.concat ""
+      (List.map
+         (fun l -> Printf.sprintf "; %s on %d of %d" (upper_name l) (wins (Learner.name l)) total)
+         others)
+  ^ "\n"
 
 let fig4 env =
   render_speedups
@@ -533,29 +493,21 @@ let summary env =
   let rows_off = speedup_rows env ~swp:false in
   let rows_on = speedup_rows env ~swp:true in
   let agg f rows = Stats.geomean (Array.map f rows) -. 1.0 in
-  let fp rows =
-    Array.of_list (List.filter (fun (_, fp, _, _, _, _) -> fp) (Array.to_list rows))
-  in
+  let svm = learned "svm" in
   let t =
     Table.create ~title:"Summary: paper claim vs this reproduction"
       [ ("Claim", Table.Left); ("Paper", Table.Right); ("Here", Table.Right) ]
   in
   let ds = scaled_selected env env.dataset_off in
-  let pairs = Dataset.points ds in
-  let truth = Dataset.labels ds in
-  let nn = Knn.train ~radius:env.config.Config.knn_radius ~n_classes:ds.Dataset.n_classes pairs in
+  let cv l = Learner.cross_validate ~jobs:env.config.Config.jobs l env.config ds in
   let nn_acc =
-    Metrics.accuracy ~pred:(Knn.loo_predictions ~jobs:env.config.Config.jobs nn) ~truth
-  in
-  let svm_ds = cap_examples ds env.config.Config.loocv_svm_cap in
-  let svm_pred =
-    Multiclass.loo_predictions ~jobs:env.config.Config.jobs ~n_classes:ds.Dataset.n_classes
-      ~kernel:env.config.Config.svm_kernel ~gamma:env.config.Config.svm_gamma
-      (Dataset.points svm_ds)
+    let sub, pred = cv Learner.nn in
+    Metrics.accuracy ~pred ~truth:(Dataset.labels sub)
   in
   let svm_rank =
-    Metrics.rank_distribution ~pred:svm_pred
-      ~costs:(Array.map (fun e -> e.Dataset.costs) svm_ds.Dataset.examples)
+    let sub, pred = cv Learner.svm in
+    Metrics.rank_distribution ~pred
+      ~costs:(Array.map (fun e -> e.Dataset.costs) sub.Dataset.examples)
   in
   let row label paper here = Table.add_row t [ label; paper; here ] in
   row "dataset size (loops surviving filters)" "2500+"
@@ -564,21 +516,19 @@ let summary env =
   row "SVM optimal-or-second rate" "79%" (Table.cell_pct (svm_rank.(0) +. svm_rank.(1)));
   row "NN optimal prediction rate (LOOCV)" "62%" (Table.cell_pct nn_acc);
   row "speedup over ORC, SWP off (SPEC 2000)" "5%"
-    (Table.cell_pct (agg svm_of rows_off));
+    (Table.cell_pct (agg svm rows_off));
   row "speedup over ORC, SWP off (SPECfp)" "9%"
-    (Table.cell_pct (agg svm_of (fp rows_off)));
+    (Table.cell_pct (agg svm (fp_rows rows_off)));
   row "MLP speedup over ORC, SWP off" "n/a"
-    (Table.cell_pct (agg mlp_of rows_off));
+    (Table.cell_pct (agg (learned "mlp") rows_off));
   row "oracle speedup, SWP off" "7.2%"
-    (Table.cell_pct (agg oracle_of rows_off));
+    (Table.cell_pct (agg oracle rows_off));
   row "speedup over ORC, SWP on (SPEC 2000)" "1%"
-    (Table.cell_pct (agg svm_of rows_on));
+    (Table.cell_pct (agg svm rows_on));
   row "oracle speedup, SWP on" "4.4%"
-    (Table.cell_pct (agg oracle_of rows_on));
+    (Table.cell_pct (agg oracle rows_on));
   let improved rows =
-    Array.fold_left
-      (fun acc r -> if svm_of r > 1.0 then acc + 1 else acc)
-      0 rows
+    Array.fold_left (fun acc r -> if svm r > 1.0 then acc + 1 else acc) 0 rows
   in
   row "benchmarks improved, SWP off" "19 of 24"
     (Printf.sprintf "%d of %d" (improved rows_off) (Array.length rows_off));
@@ -594,80 +544,37 @@ let joint env =
   let jobs = config.Config.jobs in
   let buf = Buffer.create 2048 in
   (* LOOCV-vs-LOOCV: every learner scored leave-one-benchmark-out on its
-     own label space.  One protocol for all three learners and both heads,
-     so the 8-way and 16-way columns are directly comparable (the
-     closed-form per-example shortcuts only exist for NN/SVM, and only on
-     a fixed training set). *)
+     own label space.  One protocol for all learners and both heads, so
+     the 8-way and 16-way columns are directly comparable (the closed-form
+     per-example shortcuts exist only for some learners, and only on a
+     fixed training set).  A learner with a cross-validation cap (the
+     LS-SVM's O(N³) solve) is scored on a subsample of at most 800. *)
   let head ds =
     let scaled = scaled_selected env ds in
-    let pairs = Dataset.points scaled in
-    let groups = Array.map (fun e -> e.Dataset.group) scaled.Dataset.examples in
-    let truth = Dataset.labels scaled in
-    let n_classes = scaled.Dataset.n_classes in
-    let score train predict =
-      Metrics.accuracy ~pred:(Loocv.grouped ~jobs ~groups ~train ~predict pairs) ~truth
+    let score l =
+      let sub =
+        match Learner.cv_cap l config with
+        | Some cap -> Dataset.subsample ~cap:(min cap 800) scaled
+        | None -> scaled
+      in
+      Table.cell_pct
+        (Metrics.accuracy ~pred:(Learner.lobo ~jobs l config sub) ~truth:(Dataset.labels sub))
     in
-    let nn =
-      score
-        (fun p -> Knn.train ~radius:config.Config.knn_radius ~n_classes p)
-        Knn.predict
-    in
-    let svm_cap = min config.Config.loocv_svm_cap 800 in
-    let svm_scaled = cap_examples scaled svm_cap in
-    let svm_pairs = Dataset.points svm_scaled in
-    let svm_groups = Array.map (fun e -> e.Dataset.group) svm_scaled.Dataset.examples in
-    let svm =
-      Metrics.accuracy
-        ~pred:
-          (Loocv.grouped ~jobs ~groups:svm_groups
-             ~train:(fun p ->
-               Multiclass.train ~n_classes ~kernel:config.Config.svm_kernel
-                 ~gamma:config.Config.svm_gamma p)
-             ~predict:Multiclass.predict svm_pairs)
-        ~truth:(Dataset.labels svm_scaled)
-    in
-    let mlp =
-      score
-        (fun p ->
-          fst
-            (Mlp.train ~seed:config.Config.mlp_seed ~hyper:config.Config.mlp_hyper
-               ~n_classes p))
-        Mlp.predict
-    in
-    (nn, svm, mlp, Dataset.size scaled)
+    (List.map score Learner.all, string_of_int (Dataset.size scaled))
   in
-  let f_nn, f_svm, f_mlp, f_n = head env.dataset_off in
-  let j_nn, j_svm, j_mlp, j_n = head env.dataset_joint in
   let t =
     Table.create
       ~title:"Joint decision space: leave-one-benchmark-out accuracy per head"
-      [
-        ("Head", Table.Left);
-        ("Classes", Table.Right);
-        ("NN", Table.Right);
-        ("SVM", Table.Right);
-        ("MLP", Table.Right);
-        ("Examples", Table.Right);
-      ]
+      ((("Head", Table.Left) :: ("Classes", Table.Right)
+        :: List.map (fun l -> (upper_name l, Table.Right)) Learner.all)
+      @ [ ("Examples", Table.Right) ])
   in
-  Table.add_row t
-    [
-      "factor (SWP off)";
-      string_of_int Unroll.max_factor;
-      Table.cell_pct f_nn;
-      Table.cell_pct f_svm;
-      Table.cell_pct f_mlp;
-      string_of_int f_n;
-    ];
-  Table.add_row t
-    [
-      "joint (factor x SWP)";
-      string_of_int Labeling.Joint.classes;
-      Table.cell_pct j_nn;
-      Table.cell_pct j_svm;
-      Table.cell_pct j_mlp;
-      string_of_int j_n;
-    ];
+  let add_head label classes ds =
+    let scores, n = head ds in
+    Table.add_row t ((label :: string_of_int classes :: scores) @ [ n ])
+  in
+  add_head "factor (SWP off)" Unroll.max_factor env.dataset_off;
+  add_head "joint (factor x SWP)" Labeling.Joint.classes env.dataset_joint;
   Buffer.add_string buf (Table.to_string t);
   (* Realized speedup over the shared ORC-at-SWP-off baseline: the joint
      head may pick any (factor, swp) coordinate, the single-decision rows
@@ -681,10 +588,10 @@ let joint env =
   let rows_off = Lazy.force env.rows_off in
   let geo f rows = Stats.geomean (Array.map f rows) in
   let best rows =
-    List.fold_left
-      (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv))
-      ("nn", geo nn_of rows)
-      [ ("svm", geo svm_of rows); ("mlp", geo mlp_of rows) ]
+    match List.map (fun l -> (Learner.name l, geo (learned (Learner.name l)) rows)) Learner.all with
+    | first :: rest ->
+      List.fold_left (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv)) first rest
+    | [] -> invalid_arg "Experiments.joint: empty learner registry"
   in
   let sn, sv = best rows_off in
   let jn, jv = best rows_joint in
@@ -724,7 +631,7 @@ let ablations env =
     [ 0.0; 0.2; 0.35; 0.5; 0.7; 1.0; 1.5 ];
   Buffer.add_string buf (Table.to_string t);
   (* Output codes. *)
-  let svm_ds = cap_examples ds (min config.Config.loocv_svm_cap 800) in
+  let svm_ds = Dataset.subsample ~cap:(min config.Config.loocv_svm_cap 800) ds in
   let svm_pairs = Dataset.points svm_ds in
   let svm_truth = Dataset.labels svm_ds in
   let t =

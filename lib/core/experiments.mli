@@ -8,9 +8,6 @@
     figure as text (ASCII plots for the figures), shaped after the paper's
     artefact. *)
 
-type speedup_row = string * bool * float * float * float * float
-(** [(bname, is_fp, nn, svm, mlp, oracle)] speedups over the ORC baseline. *)
-
 type env = {
   config : Config.t;
   benchmarks : Suite.benchmark list;
@@ -27,11 +24,11 @@ type env = {
   selected : int array;
   (** feature subset used for classification (§7: union of the MIS top-k
       and the greedy picks for both classifiers) *)
-  rows_off : speedup_row array Lazy.t;
-  rows_on : speedup_row array Lazy.t;
-  rows_joint : speedup_row array Lazy.t;
-  (** per-benchmark speedups from {!Compiler.speedup_rows} (and the joint
-      engine), computed on first demand and shared between the figure
+  rows_off : Compiler.row array Lazy.t;
+  rows_on : Compiler.row array Lazy.t;
+  rows_joint : Compiler.row array Lazy.t;
+  (** per-benchmark speedups over the ORC baseline from
+      {!Compiler.speedup_rows} (single-space and joint engines), computed on first demand and shared between the figure
       drivers, {!joint} and {!summary} *)
 }
 
@@ -63,8 +60,9 @@ val fig3 : env -> string
 (** Histogram of optimal unroll factors, SWP disabled. *)
 
 val table2 : env -> string
-(** Prediction-rank distribution for NN, SVM and the ORC heuristic, with
-    the misprediction cost column (LOOCV). *)
+(** Prediction-rank distribution for every {!Learner} (each under its
+    own {!Learner.cross_validate} protocol) and the ORC heuristic, with
+    the misprediction cost column. *)
 
 val table3 : env -> string
 (** Top features by mutual information score. *)
@@ -73,15 +71,15 @@ val table4 : env -> string
 (** Top features by greedy selection for 1-NN and the SVM. *)
 
 val fig4 : env -> string
-(** Per-benchmark speedup over ORC, SWP disabled (NN, SVM, oracle), with
-    SPEC and SPECfp aggregates. *)
+(** Per-benchmark speedup over ORC, SWP disabled (every learner and the
+    oracle), with SPEC and SPECfp aggregates. *)
 
 val fig5 : env -> string
 (** Same with SWP enabled. *)
 
 val joint : env -> string
 (** The widened (unroll factor × SWP) decision space: leave-one-benchmark-out
-    accuracy of NN / LS-SVM / MLP on the 8-way factor head vs the 16-way
+    accuracy of every learner on the 8-way factor head vs the 16-way
     joint head, the joint realized-speedup table over the ORC SWP-off
     baseline, and a verdict line comparing the best joint pipeline against
     the best single-decision one. *)

@@ -3,8 +3,8 @@
     The paper's end product is a trained classifier compiled {e into} the
     compiler: §4.1 argues "the learned classifier can easily be
     incorporated into a compiler" because a model is data, not code.  This
-    module is that data: a trained predictor (NN radius model or LS-SVM
-    one-vs-rest machines), the committed feature subset from greedy
+    module is that data: a trained model of any {!Learner}, the committed
+    feature subset from greedy
     selection, the {!Scale} normalisation parameters, and provenance
     digests — serialised as a line-oriented text format that round-trips
     {e bit-identically} (floats are written as hexadecimal literals, so
@@ -17,7 +17,12 @@
     content corruption outright; provenance digests are verified against
     the serving environment with {!verify_machine} / {!verify_dataset}, so
     a model trained for one machine description can never silently predict
-    for another. *)
+    for another.
+
+    This module owns the header, the checksum and the version handling;
+    the lines after [std] are the learner's payload, written and decoded
+    by the learner the [kind] line names ({!Learner.LEARNER.write} and
+    {!Learner.LEARNER.read}). *)
 
 type provenance = {
   dataset_digest : string;  (** hex digest of the training dataset ({!Dataset.digest}) *)
@@ -25,24 +30,6 @@ type provenance = {
   machine_digest : string;  (** hex digest of the full machine description *)
   code_version : string;    (** {!code_version} of the trainer *)
 }
-
-type payload =
-  | Nn of {
-      radius : float;
-      n_classes : int;
-      db : (float array * int) array;  (** scaled training points + labels *)
-    }
-  | Svm of {
-      kernel : Kernel.t;
-      codewords : int array array;     (** ±1 output-code rows, one per class *)
-      alphas : float array array;      (** dual coefficients, one row per binary machine *)
-      points : float array array;      (** scaled training points shared by the machines *)
-    }
-  | Mlp of {
-      dims : int array;                (** layer widths [|d; hidden…; classes|] *)
-      weights : float array array;     (** per-layer weight blocks, row-major *)
-      biases : float array array;      (** per-layer bias vectors *)
-    }
 
 type label_space =
   | Factor  (** 8-way: unroll factor alone (class = factor − 1) *)
@@ -55,7 +42,7 @@ type t = {
   feature_names : string array;  (** names of those features when the model was trained *)
   mean : float array;            (** {!Scale} parameters over the subset *)
   std : float array;
-  payload : payload;
+  model : Learner.trained;       (** the fitted model; its learner names the [kind] *)
 }
 
 val version : int
@@ -73,10 +60,13 @@ val machine_digest : Machine.t -> string
 (** Hex digest over every field of the machine description. *)
 
 val kind : t -> string
-(** ["nn"], ["svm"] or ["mlp"]. *)
+(** The learner's {!Learner.LEARNER.name}: ["nn"], ["svm"] or ["mlp"]. *)
 
 val label_space_name : label_space -> string
 (** ["factor"] or ["joint"]. *)
+
+val n_classes : label_space -> int
+(** Classes of the space: 8 for [Factor], 16 for [Joint]. *)
 
 val to_string : t -> string
 (** Serialise; deterministic (no timestamps), bit-exact floats. *)
@@ -84,14 +74,16 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse and validate: the version line must name a version between
     {!oldest_readable_version} and {!version}, and the trailing checksum
-    must match the content.  Errors name the offending line. *)
+    must match the content, and the payload must decode to a model of the
+    header's shape (feature count, label space).  Errors name the
+    offending line; malformed input never raises. *)
 
 val save : t -> string -> unit
 
 val load : ?telemetry:Telemetry.t -> string -> (t, string) result
 (** {!of_string} over a file.  Load wall-time is recorded in [telemetry]
     (default {!Telemetry.global}) under the ["artifact"] pass, with the
-    payload size as a counter. *)
+    file size in bytes as a counter. *)
 
 val verify_machine : t -> Machine.t -> (unit, string) result
 (** Fails unless the serving machine's digest equals the training one. *)

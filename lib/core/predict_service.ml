@@ -128,11 +128,7 @@ let classify_batch ?(jobs = 1) t loops =
        pure layout step, but it keeps the service on the flat row-major
        allocation pattern the numeric kernels expect and exercises
        [points_matrix] from the serving side. *)
-    let n_classes =
-      match t.label_space with
-      | Model_artifact.Factor -> Unroll.max_factor
-      | Model_artifact.Joint -> Labeling.Joint.classes
-    in
+    let n_classes = Model_artifact.n_classes t.label_space in
     let examples =
       Array.to_list
         (Array.mapi

@@ -9,48 +9,37 @@ type t =
   | Fixed of int                    (** always the same factor *)
   | Orc                             (** the hand heuristic baseline *)
   | Oracle                          (** best measured factor *)
-  | Nn of learned_nn
-  | Svm of learned_svm
-  | Mlp of learned_mlp
-
-and learned_nn = {
-  nn_model : Knn.t;
-  nn_scaler : Scale.t;
-  nn_features : int array;
-}
-
-and learned_svm = {
-  svm_model : Multiclass.t;
-  svm_scaler : Scale.t;
-  svm_features : int array;
-}
-
-and learned_mlp = {
-  mlp_model : Mlp.t;
-  mlp_scaler : Scale.t;
-  mlp_features : int array;
-}
+  | Learned of {
+      model : Learner.trained;      (** any {!Learner}'s fitted model *)
+      scaler : Scale.t;             (** normalisation over [features] *)
+      features : int array;         (** feature subset, indices into {!Features.extract} *)
+    }
 
 val name : t -> string
+(** ["fixed-k"], ["orc"], ["oracle"], or the learner's name. *)
+
+val fit :
+  ?jobs:int -> ?telemetry:Telemetry.t ->
+  Learner.t -> Config.t -> features:int array -> Dataset.t -> t
+(** Fit a learner ({!Learner.fit}) on a raw, unnormalised dataset
+    restricted to [features]. *)
 
 val train_nn : Config.t -> features:int array -> Dataset.t -> t
-(** Populate the near-neighbor database from a (raw, unnormalised)
-    dataset restricted to [features]. *)
+(** {!fit} of {!Learner.nn}. *)
 
 val train_svm : ?cap:int -> Config.t -> features:int array -> Dataset.t -> t
-(** Train the multi-class LS-SVM; [cap] optionally subsamples the training
-    set (deterministically) to bound the O(N³) solve. *)
+(** {!fit} of {!Learner.svm}; [cap] (default: none) subsamples the
+    training set deterministically to bound the O(N³) solve. *)
 
 val train_mlp :
   ?jobs:int -> ?telemetry:Telemetry.t -> Config.t -> features:int array -> Dataset.t -> t
-(** Train the from-scratch MLP ({!Mlp}) on the restricted, normalised
-    dataset.  Deterministic from [config.mlp_seed] at every [jobs] value;
-    [telemetry] records the ["mlp"] training pass. *)
+(** {!fit} of {!Learner.mlp}.  Deterministic from [config.mlp_seed] at
+    every [jobs] value; [telemetry] records the ["mlp"] training pass. *)
 
 val to_artifact :
   ?label_space:Model_artifact.label_space ->
   Config.t -> dataset_digest:string -> t -> Model_artifact.t
-(** Package a learned NN/SVM/MLP predictor as a versioned,
+(** Package a learned predictor as a versioned,
     provenance-stamped deployment artifact ({!Model_artifact}): model
     state, feature subset, scale parameters, dataset/machine/code digests.
     [label_space] (default [Factor]) stamps which decision space the
@@ -75,6 +64,11 @@ val featurize : t -> Config.t -> Loop.t -> float array
     for this loop — extraction, projection and normalisation exactly as
     {!predict} performs them.  Raises [Invalid_argument] for non-learned
     predictors. *)
+
+val featurize_raw : t -> float array -> float array
+(** {!featurize} from an already-extracted full feature vector
+    ({!Features.extract} width): projection onto the subset, then
+    normalisation. *)
 
 val predict_scaled : t -> float array -> int
 (** Classify an already-{!featurize}d vector (factor in 1..8, no

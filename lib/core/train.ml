@@ -1,12 +1,22 @@
 type model_choice = Nn | Svm | Mlp | Best
 
+(* The one mapping from the CLI's model choice onto the learner registry. *)
+let learner_of = function
+  | Nn -> Some Learner.nn
+  | Svm -> Some Learner.svm
+  | Mlp -> Some Learner.mlp
+  | Best -> None
+
+let model_choices =
+  List.map
+    (fun c -> ((match learner_of c with Some l -> Learner.name l | None -> "best"), c))
+    [ Nn; Svm; Mlp; Best ]
+
 type report = {
   measured : int;
   kept : int;
   features : int array;
-  nn_loocv : float;
-  svm_loocv : float;
-  mlp_loocv : float;
+  cv_scores : (string * float) list;
   chosen : string;
   dataset_digest : string;
 }
@@ -14,60 +24,31 @@ type report = {
 let info progress fmt =
   if progress then Printf.eprintf (fmt ^^ "\n%!") else Printf.ifprintf stderr fmt
 
-let cap_examples (ds : Dataset.t) cap =
-  let n = Dataset.size ds in
-  if n <= cap then ds
-  else begin
-    let stride = float_of_int n /. float_of_int cap in
-    let keep = List.init cap (fun i -> int_of_float (float_of_int i *. stride)) in
-    {
-      ds with
-      Dataset.examples = Array.of_list (List.map (fun i -> ds.Dataset.examples.(i)) keep);
-    }
-  end
+let cv_summary scores =
+  String.concat ", " (List.map (fun (name, s) -> Printf.sprintf "%s %.3f" name s) scores)
 
-(* Score both learners by LOOCV on the committed subset — the same
-   protocol as Table 2 — to pick the artifact that would have won
-   in-process. *)
-let loocv_scores ~jobs (config : Config.t) ds selected =
+(* Score every learner by its own cross-validation on the committed
+   subset — the same protocol as Table 2 — to pick the artifact that
+   would have won in-process. *)
+let cv_scores ~jobs (config : Config.t) ds selected =
   let dss = Dataset.select_features ds selected in
   let scaled = Scale.apply (Scale.fit dss) dss in
-  let truth = Dataset.labels scaled in
-  let nn_model =
-    Knn.train ~radius:config.Config.knn_radius ~n_classes:scaled.Dataset.n_classes
-      (Dataset.points scaled)
-  in
-  let nn_loocv = Metrics.accuracy ~pred:(Knn.loo_predictions ~jobs nn_model) ~truth in
-  let svm_ds = cap_examples scaled config.Config.loocv_svm_cap in
-  let svm_pred =
-    Multiclass.loo_predictions ~jobs ~n_classes:scaled.Dataset.n_classes
-      ~kernel:config.Config.svm_kernel ~gamma:config.Config.svm_gamma
-      (Dataset.points svm_ds)
-  in
-  let svm_loocv = Metrics.accuracy ~pred:svm_pred ~truth:(Dataset.labels svm_ds) in
-  (* No closed-form LOO shortcut exists for the MLP; per-example
-     retraining would be O(N × SGD).  Score it leave-one-benchmark-out —
-     one retraining per group, the §6.1 protocol. *)
-  let mlp_loocv =
-    let groups = Array.map (fun e -> e.Dataset.group) scaled.Dataset.examples in
-    Metrics.accuracy
-      ~pred:
-        (Loocv.grouped ~jobs ~groups
-           ~train:(fun p ->
-             (* A dataset with a single group leaves an empty training
-                fold: nothing to learn, fall back to the neutral class
-                (factor 1) so tiny online-training prefixes still score. *)
-             if Array.length p = 0 then None
-             else
-               Some
-                 (fst
-                    (Mlp.train ~seed:config.Config.mlp_seed ~hyper:config.Config.mlp_hyper
-                       ~n_classes:scaled.Dataset.n_classes p)))
-           ~predict:(fun m x -> match m with None -> 0 | Some m -> Mlp.predict m x)
-           (Dataset.points scaled))
-      ~truth
-  in
-  (nn_loocv, svm_loocv, mlp_loocv)
+  List.map
+    (fun l ->
+      let sub, pred = Learner.cross_validate ~jobs l config scaled in
+      (l, Metrics.accuracy ~pred ~truth:(Dataset.labels sub)))
+    Learner.all
+
+(* Ties preserve the pre-MLP precedence: the SVM (the paper's overall
+   winner) holds the choice unless another learner strictly beats the
+   best so far, so it wins an exact NN tie and the MLP must strictly beat
+   both. *)
+let best scores =
+  let is_svm (l, _) = Learner.name l = Learner.name Learner.svm in
+  fst
+    (List.fold_left
+       (fun (bl, bs) (l, s) -> if s > bs then (l, s) else (bl, bs))
+       (List.find is_svm scores) scores)
 
 (* Fit the chosen learner and stamp the artifact — the tail end of the
    pipeline, shared verbatim by the batch and online paths so a followed
@@ -82,34 +63,19 @@ let fit ?(progress = false) ?warm ?(label_space = Model_artifact.Factor) ~loocv
     measured dataset_digest;
   let selected = Experiments.select_feature_subset ~progress ?warm config ds in
   info progress "train: %d features committed" (Array.length selected);
-  let nn_loocv, svm_loocv, mlp_loocv =
-    (* A forced model choice does not need the LOOCV comparison to pick a
+  let scores =
+    (* A forced model choice does not need the comparison to pick a
        learner; the online path skips it (retraining runs on every batch
        of arriving labels, and the artifact is unaffected), while the
-       batch path always scores all three — the report is its point. *)
-    if loocv || model = Best then loocv_scores ~jobs config ds selected
-    else (Float.nan, Float.nan, Float.nan)
+       batch path always scores every learner — the report is its point. *)
+    if loocv || model = Best then cv_scores ~jobs config ds selected
+    else List.map (fun l -> (l, Float.nan)) Learner.all
   in
-  if loocv || model = Best then
-    info progress "train: LOOCV nn %.3f, svm %.3f, mlp %.3f" nn_loocv svm_loocv mlp_loocv;
-  let choice =
-    (* Ties preserve the pre-MLP precedence: SVM beats NN on an exact tie
-       (the paper's overall winner), and the MLP must strictly beat both
-       to be chosen. *)
-    match model with
-    | Nn -> `Nn
-    | Svm -> `Svm
-    | Mlp -> `Mlp
-    | Best ->
-      if mlp_loocv > nn_loocv && mlp_loocv > svm_loocv then `Mlp
-      else if nn_loocv > svm_loocv then `Nn
-      else `Svm
-  in
+  let named = List.map (fun (l, s) -> (Learner.name l, s)) scores in
+  if loocv || model = Best then info progress "train: LOOCV %s" (cv_summary named);
+  let learner = match learner_of model with Some l -> l | None -> best scores in
   let predictor =
-    match choice with
-    | `Nn -> Predictor.train_nn config ~features:selected ds
-    | `Svm -> Predictor.train_svm ~cap:config.Config.fig4_svm_cap config ~features:selected ds
-    | `Mlp -> Predictor.train_mlp ~jobs ~telemetry:Telemetry.global config ~features:selected ds
+    Predictor.fit ~jobs ~telemetry:Telemetry.global learner config ~features:selected ds
   in
   let artifact = Predictor.to_artifact ~label_space config ~dataset_digest predictor in
   ( artifact,
@@ -117,9 +83,7 @@ let fit ?(progress = false) ?warm ?(label_space = Model_artifact.Factor) ~loocv
       measured;
       kept = Dataset.size ds;
       features = selected;
-      nn_loocv;
-      svm_loocv;
-      mlp_loocv;
+      cv_scores = named;
       chosen = Predictor.name predictor;
       dataset_digest;
     } )

@@ -4,8 +4,8 @@
     [run] is the whole paper pipeline as one deterministic function of the
     config: label the suite (optionally journalled so a killed sweep
     resumes), build the filtered dataset, commit the §7 feature subset,
-    fit the NN and LS-SVM, score both by leave-one-out cross-validation,
-    and package the winner (or a forced choice) as a versioned
+    score every {!Learner} by its own cross-validation, and package the
+    winner (or a forced choice) as a versioned
     {!Model_artifact} stamped with the training dataset's digest.  The
     CLI trainer, the CI golden job and the fixture generator all call
     this one function, so a shipped artifact can never diverge from what
@@ -13,24 +13,34 @@
 
 type model_choice = Nn | Svm | Mlp | Best
 
+val model_choices : (string * model_choice) list
+(** Every choice under its [--model] name: the learners' names, then
+    ["best"]. *)
+
 type report = {
   measured : int;          (** loops swept (before filters) *)
   kept : int;              (** examples surviving the paper's filters *)
   features : int array;    (** committed feature subset *)
-  nn_loocv : float;        (** NN leave-one-out accuracy *)
-  svm_loocv : float;       (** SVM leave-one-out accuracy (capped set) *)
-  mlp_loocv : float;       (** MLP leave-one-benchmark-out accuracy (no
-                               closed-form LOO shortcut exists for SGD) *)
-  chosen : string;         (** ["nn"], ["svm"] or ["mlp"] *)
+  cv_scores : (string * float) list;
+  (** per learner, in {!Learner.all} order: {!Learner.cross_validate}
+      accuracy ([nan] when scoring was skipped) *)
+  chosen : string;         (** the packaged learner's name *)
   dataset_digest : string;
 }
+
+val cv_summary : (string * float) list -> string
+(** ["nn 0.612, svm 0.650, mlp 0.598"]: scores to three decimals. *)
+
+val best : (Learner.t * float) list -> Learner.t
+(** The [Best] rule: the highest score, where an exact tie keeps the SVM
+    (the paper's overall winner) and any other learner must strictly beat
+    the best so far in registry order — so the SVM wins an NN tie and the
+    MLP must strictly beat both. *)
 
 val run :
   ?progress:bool -> ?journal:Label_store.t ->
   Config.t -> swp:bool -> model:model_choice -> Model_artifact.t * report
-(** [Best] picks the highest cross-validation accuracy; an exact NN/SVM
-    tie goes to the SVM (the paper's overall winner), and the MLP must
-    strictly beat both.  Raises [Failure] if the filtered dataset is
+(** [Best] picks by {!best} over the cross-validation scores.  Raises [Failure] if the filtered dataset is
     empty (scale too small to train anything). *)
 
 val run_joint :
@@ -57,7 +67,7 @@ val run_joint :
     journal at any [-j]: the sweep cycles are the journal's, and
     everything downstream (filters, selection, fit, artifact formatting)
     is the same code.  Greedy-NN selection warm-starts from the previous
-    generation ({!Greedy_select.Warm}); LOOCV scoring is skipped unless
+    generation ({!Greedy_select.Warm}); cross-validation is skipped unless
     the model choice is [Best] (the report carries [nan] scores then —
     the artifact never depends on them). *)
 

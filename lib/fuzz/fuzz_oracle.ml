@@ -247,15 +247,15 @@ let check_text (c : Fuzz_gen.case) =
 
 (* --- artifact round-trip oracle -----------------------------------------
 
-   Fixture predictors trained once per machine on the built-in kernels with
-   synthetic labels (i mod 8 — the oracle judges serialisation and the
-   serving path, not prediction quality), serialised to text, then compared
-   along two routes: the in-compiler path (Predictor.of_artifact on the
-   original artifact) and the serving path (Predict_service on the artifact
-   re-parsed from text).  Any disagreement means the text format or the
+   Fixture predictors, one per learner, trained once per machine on the
+   built-in kernels with synthetic labels (i mod 8 — the oracle judges
+   serialisation and the serving path, not prediction quality), serialised
+   to text, then compared along two routes: the in-compiler path
+   (Predictor.of_artifact on the original artifact) and the serving path
+   (Predict_service on the artifact re-parsed from text).  Any disagreement means the text format or the
    batched matrix path changed a bit somewhere. *)
 
-let artifact_fixtures : (string, string * string) Hashtbl.t = Hashtbl.create 4
+let artifact_fixtures : (string, (string * string) list) Hashtbl.t = Hashtbl.create 4
 let artifact_mutex = Mutex.create ()
 
 let fixture_config machine = { Config.fast with Config.machine }
@@ -284,10 +284,12 @@ let fixture_texts machine =
         in
         let features = Array.init 12 (fun i -> i * 3) in
         let dataset_digest = Dataset.digest ds in
-        let pack train = Model_artifact.to_string (Predictor.to_artifact config ~dataset_digest train) in
         let t =
-          ( pack (Predictor.train_nn config ~features ds),
-            pack (Predictor.train_svm config ~features ds) )
+          List.map
+            (fun l ->
+              let a = Predictor.to_artifact config ~dataset_digest (Predictor.fit l config ~features ds) in
+              (Learner.name l, Model_artifact.to_string a))
+            Learner.all
         in
         Hashtbl.replace artifact_fixtures machine.Machine.mach_name t;
         t)
@@ -296,8 +298,7 @@ let check_artifact (c : Fuzz_gen.case) =
   let machine = c.Fuzz_gen.machine in
   let config = fixture_config machine in
   let loop = c.Fuzz_gen.loop in
-  let nn_text, svm_text = fixture_texts machine in
-  let check_one kind text =
+  let check_one (kind, text) =
     match Model_artifact.of_string text with
     | Error e -> Some (Printf.sprintf "%s artifact does not re-parse: %s" kind e)
     | Ok a ->
@@ -323,7 +324,7 @@ let check_artifact (c : Fuzz_gen.case) =
         end
       end
   in
-  match check_one "nn" nn_text with Some v -> Some v | None -> check_one "svm" svm_text
+  List.find_map check_one (fixture_texts machine)
 
 (* --- bounded translation validation oracle ------------------------------
 

@@ -24,7 +24,7 @@
       to register numbering (the parser renumbers registers in textual
       occurrence order), and the renumbered normal form is a true print
       fixed point;
-    - [artifact-predict] — a fixture model serialised to the
+    - [artifact-predict] — a fixture model of every {!Learner} serialised to the
       {!Model_artifact} text format and served back through
       {!Predict_service}'s batched matrix path predicts the case's loop
       identically to {!Predictor.of_artifact}'s in-compiler path, the

@@ -54,6 +54,14 @@ let without_group t g =
     examples = Array.of_list (List.filter (fun e -> e.group <> g) (Array.to_list t.examples));
   }
 
+let subsample ~cap t =
+  let n = size t in
+  if n <= cap then t
+  else begin
+    let stride = float_of_int n /. float_of_int cap in
+    { t with examples = Array.init cap (fun i -> t.examples.(int_of_float (float_of_int i *. stride))) }
+  end
+
 let groups t =
   let seen = Hashtbl.create 16 in
   let out = ref [] in

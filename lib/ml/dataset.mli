@@ -35,6 +35,11 @@ val labels : t -> int array
 val without_group : t -> string -> t
 (** Drop every example of one benchmark — leave-one-benchmark-out. *)
 
+val subsample : cap:int -> t -> t
+(** At most [cap] examples, picked at a fixed stride through the dataset
+    (deterministic, order-preserving); the dataset itself when it already
+    fits.  Bounds the O(N³) LS-SVM solves. *)
+
 val groups : t -> string list
 (** Distinct group names, in first-appearance order. *)
 

@@ -412,9 +412,10 @@ let test_predict_joint_basics () =
   Alcotest.(check bool) "orc stays in factor space" true (f >= 1 && f <= 8 && not s)
 
 let test_joint_pinned_rows_match_single_space () =
-  (* [joint_speedup_rows ~space:(Pinned false)] is an independent
-     implementation of the single-space engine: over the same training
-     dataset and merged sweep it must reproduce [speedup_rows ~swp:false]
+  (* [joint_benchmark_speedup ~space:(Pinned false)] is an independent
+     implementation of the single-space engine: driven by the same
+     leave-one-benchmark-out rows over the same training dataset and
+     merged sweep it must reproduce [benchmark_speedup ~swp:false]
      exactly, learner by learner. *)
   let off = Lazy.force labeled_cache and on = Lazy.force labeled_on_cache in
   let merged = Labeling.merge_joint ~off ~on in
@@ -424,24 +425,49 @@ let test_joint_pinned_rows_match_single_space () =
       (Suite.full ~scale:config.Config.scale ~seed:config.Config.seed)
   in
   let features = Array.init Features.count (fun i -> i) in
+  let rows speedup = Compiler.speedup_rows config ~features ~benchmarks ~dataset speedup in
   let single =
-    Compiler.speedup_rows config ~swp:false ~features ~benchmarks ~dataset off
+    rows (fun p b -> Compiler.benchmark_speedup config ~swp:false p ~baseline:Predictor.Orc b off)
   in
   let pinned =
-    Compiler.joint_speedup_rows config ~space:(Compiler.Pinned false) ~features
-      ~benchmarks ~dataset merged
+    rows (fun p b ->
+        Compiler.joint_benchmark_speedup config ~space:(Compiler.Pinned false) p
+          ~baseline:Predictor.Orc b merged)
   in
   Alcotest.(check int) "same row count" (Array.length single) (Array.length pinned);
   Array.iteri
-    (fun i (name, fp, nn, svm, mlp, oracle) ->
-      let name', fp', nn', svm', mlp', oracle' = pinned.(i) in
-      Alcotest.(check string) "benchmark" name name';
-      Alcotest.(check bool) "fp flag" fp fp';
-      Alcotest.(check (float 0.0)) "nn speedup" nn nn';
-      Alcotest.(check (float 0.0)) "svm speedup" svm svm';
-      Alcotest.(check (float 0.0)) "mlp speedup" mlp mlp';
-      Alcotest.(check (float 0.0)) "oracle speedup" oracle oracle')
+    (fun i (r : Compiler.row) ->
+      let r' = pinned.(i) in
+      Alcotest.(check string) "benchmark" r.Compiler.bench r'.Compiler.bench;
+      Alcotest.(check bool) "fp flag" r.Compiler.fp r'.Compiler.fp;
+      Alcotest.(check (list (pair string (float 0.0))))
+        "learner speedups" r.Compiler.learned r'.Compiler.learned;
+      Alcotest.(check (float 0.0)) "oracle speedup" r.Compiler.oracle r'.Compiler.oracle)
     single
+
+let test_train_best_choice_ties () =
+  (* [Train.best] on exact ties: the SVM (the paper's overall winner)
+     wins an NN tie, and the MLP must strictly beat both. *)
+  List.iter
+    (fun ((nn, svm, mlp), expected) ->
+      let by_name = [ ("nn", nn); ("svm", svm); ("mlp", mlp) ] in
+      let scores = List.map (fun l -> (l, List.assoc (Learner.name l) by_name)) Learner.all in
+      Alcotest.(check string)
+        (Printf.sprintf "nn %.1f, svm %.1f, mlp %.1f" nn svm mlp)
+        expected
+        (Learner.name (Train.best scores)))
+    [
+      ((0.5, 0.5, 0.5), "svm");
+      ((0.6, 0.6, 0.5), "svm");
+      ((0.5, 0.6, 0.6), "svm");
+      ((0.6, 0.5, 0.6), "nn");
+      ((0.6, 0.5, 0.5), "nn");
+      ((0.5, 0.6, 0.5), "svm");
+      ((0.5, 0.5, 0.6), "mlp");
+      ((0.6, 0.5, 0.7), "mlp");
+      ((0.5, 0.6, 0.7), "mlp");
+      ((0.7, 0.5, 0.6), "nn");
+    ]
 
 let test_joint_merge_rejects_misaligned () =
   let off = Lazy.force labeled_cache in
@@ -540,4 +566,5 @@ let suite =
     ("predict_joint basics", `Quick, test_predict_joint_basics);
     ("joint pinned rows = single space", `Slow, test_joint_pinned_rows_match_single_space);
     ("joint merge rejects misaligned", `Slow, test_joint_merge_rejects_misaligned);
+    ("train best choice ties", `Quick, test_train_best_choice_ties);
   ]

@@ -525,6 +525,37 @@ let test_shadow_rejects_divergent_candidate () =
   Serve_client.close c;
   shutdown_server th addr
 
+(* --- a malformed artifact is rejected, not served -------------------------- *)
+
+let test_malformed_reload_rejected () =
+  (* Checksum-valid but with an empty NN database: the reload must be
+     rejected with a typed error, and the live model must keep answering
+     on a fresh connection. *)
+  let loops = kernel_loops () in
+  let expected = local_expected "golden_nn.artifact" loops in
+  let _t, th, addr = start_server ~artifact:"golden_nn.artifact" () in
+  let path = Filename.temp_file "unrollml_serve" ".artifact" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      write_file path
+        (Test_store.resealed "golden_nn.artifact"
+           (List.filter (fun l -> not (String.starts_with ~prefix:"point " l))));
+      let ctl = connect_exn addr in
+      (match Serve_client.control ctl ("reload " ^ path) with
+      | Ok (Wire.Failure msg) ->
+        Alcotest.(check bool) ("rejection names the reload: " ^ msg) true
+          (contains ~sub:"reload rejected" msg)
+      | Ok r -> Alcotest.fail ("malformed reload accepted: " ^ Wire.response_payload r)
+      | Error e -> Alcotest.fail ("malformed reload: " ^ e));
+      Serve_client.close ctl;
+      let c = connect_exn addr in
+      drive_round c loops expected;
+      Serve_client.close c;
+      Alcotest.(check int) "reload counted as rejected" 1
+        (stat (stats_exn addr) "reload-rejected"));
+  shutdown_server th addr
+
 (* --- corrupt frames kill the connection, not the server -------------------- *)
 
 let raw_connect port =
@@ -627,6 +658,7 @@ let suite =
     ("hot reload under load", `Slow, test_hot_reload_under_load);
     ("shadow promotes matching candidate", `Slow, test_shadow_promotes_matching_candidate);
     ("shadow rejects divergent candidate", `Slow, test_shadow_rejects_divergent_candidate);
+    ("malformed reload rejected", `Slow, test_malformed_reload_rejected);
     ("corrupt frame kills only its connection", `Slow, test_corrupt_frame_kills_connection_only);
     ("graceful drain answers everything", `Slow, test_graceful_drain_answers_everything);
   ]

@@ -65,21 +65,15 @@ let random_subset rng =
   Rng.shuffle rng idx;
   Array.sub idx 0 (3 + Rng.int rng 10)
 
-let roundtrip_artifact_prop kind =
+let roundtrip_artifact_prop salt learner =
   QCheck.Test.make ~count:15
-    ~name:(kind ^ " artifact roundtrips bit-identically")
+    ~name:(Learner.name learner ^ " artifact roundtrips bit-identically")
     QCheck.(small_int)
     (fun seed ->
-      let salt = match kind with "nn" -> 1 | "svm" -> 2 | _ -> 3 in
       let rng = Rng.create ((seed * 7919) + salt) in
       let ds = random_dataset rng in
       let features = random_subset rng in
-      let p =
-        match kind with
-        | "nn" -> Predictor.train_nn config ~features ds
-        | "svm" -> Predictor.train_svm config ~features ds
-        | _ -> Predictor.train_mlp config ~features ds
-      in
+      let p = Predictor.fit learner config ~features ds in
       let a = Predictor.to_artifact config ~dataset_digest:(Dataset.digest ds) p in
       let text = Model_artifact.to_string a in
       match Model_artifact.of_string text with
@@ -101,9 +95,7 @@ let roundtrip_artifact_prop kind =
               (List.init 16 Fun.id)
         end)
 
-let prop_nn_roundtrip = roundtrip_artifact_prop "nn"
-let prop_svm_roundtrip = roundtrip_artifact_prop "svm"
-let prop_mlp_roundtrip = roundtrip_artifact_prop "mlp"
+let prop_roundtrips = List.mapi (fun i l -> roundtrip_artifact_prop (i + 1) l) Learner.all
 
 let test_joint_artifact_roundtrip () =
   (* A joint-space MLP: 16 classes, label-space stamped Joint.  The space
@@ -438,20 +430,66 @@ let test_golden_v1_still_loads () =
     (read_file (fixture "golden_nn_predictions.txt"))
     (predictions_of_artifact a)
 
-let test_golden_version_rejected () =
-  let text = read_file (fixture "golden_nn.artifact") in
-  (* Bump the version line and re-stamp the checksum, so the version check —
-     not the integrity check — is what trips. *)
+(* Rewrite a fixture artifact's lines (checksum line excluded) and re-stamp
+   the checksum, so the check under test — not the integrity check — is
+   what must trip. *)
+let resealed name edit =
+  let text = read_file (fixture name) in
   let check_start = String.rindex_from text (String.length text - 2) '\n' + 1 in
-  let body = String.sub text 0 check_start in
-  let nl = String.index body '\n' in
-  let body' = "unrollml-artifact v99" ^ String.sub body nl (String.length body - nl) in
-  let bumped = body' ^ Printf.sprintf "checksum %s\n" (Digest.to_hex (Digest.string body')) in
+  let lines =
+    String.split_on_char '\n' (String.sub text 0 check_start) |> List.filter (fun l -> l <> "")
+  in
+  let body = String.concat "" (List.map (fun l -> l ^ "\n") (edit lines)) in
+  body ^ Printf.sprintf "checksum %s\n" (Digest.to_hex (Digest.string body))
+
+(* Apply [f] to the words of the first line whose first word is [key]. *)
+let edit_first key f lines =
+  let rec go = function
+    | [] -> []
+    | l :: rest -> (
+      match String.split_on_char ' ' l with
+      | w :: _ as words when w = key -> String.concat " " (f words) :: rest
+      | _ -> l :: go rest)
+  in
+  go lines
+
+let drop_last words = List.filteri (fun i _ -> i < List.length words - 1) words
+
+let test_golden_version_rejected () =
+  let bumped =
+    resealed "golden_nn.artifact" (function
+      | _ :: rest -> "unrollml-artifact v99" :: rest
+      | [] -> [])
+  in
   match Model_artifact.of_string bumped with
   | Ok _ -> Alcotest.fail "future version accepted"
   | Error e ->
     Alcotest.(check bool) ("names version: " ^ e) true
       (contains ~sub:"unsupported artifact version v99" e)
+
+(* Checksum-valid artifacts whose payload does not fit the header: each
+   must fail to load with a typed error, never raise at load or predict
+   time. *)
+let test_malformed_payloads_rejected () =
+  List.iter
+    (fun (what, text) ->
+      match Model_artifact.of_string text with
+      | Ok _ -> Alcotest.failf "%s: malformed artifact loaded" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ " rejected by its payload check: " ^ e) false
+          (contains ~sub:"checksum" e))
+    [
+      ( "nn without points",
+        resealed "golden_nn.artifact"
+          (List.filter (fun l -> not (String.starts_with ~prefix:"point " l))) );
+      ("nn point missing a float", resealed "golden_nn.artifact" (edit_first "point" drop_last));
+      ( "nn label 9",
+        resealed "golden_nn.artifact"
+          (edit_first "point" (function k :: _ :: xs -> k :: "9" :: xs | ws -> ws)) );
+      ("short svm alphas row", resealed "golden_svm.artifact" (edit_first "alphas" drop_last));
+      ("short svm point", resealed "golden_svm.artifact" (edit_first "point" drop_last));
+      ("short svm codeword", resealed "golden_svm.artifact" (edit_first "codeword" drop_last));
+    ]
 
 let test_golden_provenance_mismatches () =
   let a = load_artifact_exn (fixture "golden_nn.artifact") in
@@ -579,12 +617,11 @@ let test_service_rejects_foreign_machine () =
       (contains ~sub:"machine mismatch" e)
 
 let suite =
-  [
-    QCheck_alcotest.to_alcotest prop_nn_roundtrip;
-    QCheck_alcotest.to_alcotest prop_svm_roundtrip;
-    QCheck_alcotest.to_alcotest prop_mlp_roundtrip;
+  List.map QCheck_alcotest.to_alcotest prop_roundtrips
+  @ [
     ("joint artifact roundtrip", `Quick, test_joint_artifact_roundtrip);
     ("artifact corruption rejected", `Quick, test_artifact_corruption_rejected);
+    ("malformed payloads rejected", `Quick, test_malformed_payloads_rejected);
     QCheck_alcotest.to_alcotest prop_journal_truncation;
     ("journal interior corruption", `Quick, test_journal_interior_corruption);
     ("journal foreign file", `Quick, test_journal_foreign_file);
