@@ -104,6 +104,20 @@ let with_telemetry telemetry f =
       end)
     f
 
+(* Every loop in a .loop file; a parse error exits 2. *)
+let read_loops path =
+  let contents =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Loop_text.parse_many contents with
+  | Ok loops -> loops
+  | Error e ->
+    Printf.eprintf "parse error: %s\n" e;
+    exit 2
+
 (* dataset *)
 let dataset_cmd =
   let output =
@@ -256,30 +270,19 @@ let inspect_file_cmd =
   in
   let swp = Arg.(value & flag & info [ "swp" ] ~doc:"Software pipelining enabled.") in
   let run config file swp =
-    let contents =
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Loop_text.parse_many contents with
-    | Error e ->
-      Printf.eprintf "parse error: %s\n" e;
-      exit 2
-    | Ok loops ->
-      List.iter
-        (fun loop ->
-          Format.printf "%a@." Pretty.pp_loop loop;
-          for u = 1 to Unroll.max_factor do
-            let exe = Simulator.compile config.Config.machine ~swp loop u in
-            let state = Simulator.create_state config.Config.machine in
-            ignore (Simulator.run state exe);
-            let cycles = Simulator.run state exe in
-            Format.printf "  u=%d: %d cycles@." u cycles
-          done;
-          Format.printf "  ORC heuristic picks u=%d@.@."
-            (Orc_heuristic.predict config.Config.machine ~swp loop))
-        loops
+    List.iter
+      (fun loop ->
+        Format.printf "%a@." Pretty.pp_loop loop;
+        for u = 1 to Unroll.max_factor do
+          let exe = Simulator.compile config.Config.machine ~swp loop u in
+          let state = Simulator.create_state config.Config.machine in
+          ignore (Simulator.run state exe);
+          let cycles = Simulator.run state exe in
+          Format.printf "  u=%d: %d cycles@." u cycles
+        done;
+        Format.printf "  ORC heuristic picks u=%d@.@."
+          (Orc_heuristic.predict config.Config.machine ~swp loop))
+      (read_loops file)
   in
   Cmd.v
     (Cmd.info "inspect-file" ~doc:"Parse loops from the textual format and sweep them.")
@@ -444,31 +447,21 @@ let verify_cmd =
       Printf.printf "verified %d fuzz case(s) (seed %d): %d failure(s)\n" n fuzz_seed
         !failures
     | None, Some f ->
-      let contents =
-        let ic = open_in_bin f in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+      let loops = read_loops f in
+      let factors =
+        match factor with
+        | Some u -> [ u ]
+        | None -> List.init Unroll.max_factor (fun i -> i + 1)
       in
-      (match Loop_text.parse_many contents with
-      | Error e ->
-        Printf.eprintf "parse error: %s\n" e;
-        exit 2
-      | Ok loops ->
-        let factors =
-          match factor with
-          | Some u -> [ u ]
-          | None -> List.init Unroll.max_factor (fun i -> i + 1)
-        in
-        List.iter
-          (fun loop ->
-            List.iter
-              (fun u ->
-                show
-                  (Verify.Validate.verify_case ~telemetry:tl
-                     ~machine:config.Config.machine loop ~factor:u))
-              factors)
-          loops)
+      List.iter
+        (fun loop ->
+          List.iter
+            (fun u ->
+              show
+                (Verify.Validate.verify_case ~telemetry:tl
+                   ~machine:config.Config.machine loop ~factor:u))
+            factors)
+        loops
     | None, None -> begin
       match Fuzz.Driver.load_corpus corpus with
       | Error e ->
@@ -737,19 +730,7 @@ let predict_cmd =
         let loops =
           match (kernels, file) with
           | true, None -> List.map (fun (name, maker) -> maker ~name ~trip:256) Kernels.all
-          | false, Some path -> begin
-            let contents =
-              let ic = open_in_bin path in
-              Fun.protect
-                ~finally:(fun () -> close_in ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            match Loop_text.parse_many contents with
-            | Ok loops -> loops
-            | Error e ->
-              Printf.eprintf "parse error: %s\n" e;
-              exit 2
-          end
+          | false, Some path -> read_loops path
           | _ ->
             Printf.eprintf "predict: give exactly one of --kernels or a .loop FILE\n";
             exit 2

@@ -24,8 +24,6 @@ let version = 2
 let oldest_readable_version = 1
 let code_version = "unrollml-features38-v1"
 
-let machine_digest (m : Machine.t) = Digest.to_hex (Digest.string (Marshal.to_string m []))
-
 let kind t = Learner.name (Learner.learner t.model)
 let label_space_name = function Factor -> "factor" | Joint -> "joint"
 let n_classes = function Factor -> Unroll.max_factor | Joint -> Labeling.Joint.classes
@@ -170,7 +168,7 @@ let load ?(telemetry = Telemetry.global) path =
     result
 
 let verify_machine t (m : Machine.t) =
-  let d = machine_digest m in
+  let d = Digest.to_hex (Machine.digest m) in
   if d = t.provenance.machine_digest then Ok ()
   else
     Error

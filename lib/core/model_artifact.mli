@@ -27,7 +27,7 @@
 type provenance = {
   dataset_digest : string;  (** hex digest of the training dataset ({!Dataset.digest}) *)
   machine_name : string;
-  machine_digest : string;  (** hex digest of the full machine description *)
+  machine_digest : string;  (** hex {!Machine.digest} of the full machine description *)
   code_version : string;    (** {!code_version} of the trainer *)
 }
 
@@ -55,9 +55,6 @@ val oldest_readable_version : int
 val code_version : string
 (** Identifies the training code; bumped when the feature definitions or
     learner semantics change incompatibly. *)
-
-val machine_digest : Machine.t -> string
-(** Hex digest over every field of the machine description. *)
 
 val kind : t -> string
 (** The learner's {!Learner.LEARNER.name}: ["nn"], ["svm"] or ["mlp"]. *)

@@ -11,24 +11,13 @@ type t = {
   model_digest : string;
   label_space : Model_artifact.label_space;
   telemetry : Telemetry.t option;
-  (* Feature vectors keyed by loop content (name blanked): the scaled,
-     projected vector [Predictor.featurize] would recompute.  Returning the
-     stored vector verbatim keeps batch predictions bit-identical to the
-     uncached path.
-
-     The cache is bounded: a long-lived server would otherwise grow it
-     without limit as distinct loops stream past.  Eviction is FIFO over
-     insertion order — deterministic given the request order, and exact
-     because entries are never re-inserted while present.  All cache state
-     is guarded by [lock] so concurrent [predict_batch] calls (the serve
-     path swaps services under load) stay safe. *)
-  cache : (string, float array) Hashtbl.t;
-  order : string Queue.t;
-  capacity : int;
-  lock : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  (* Feature vectors keyed by [Loop.digest]: the scaled, projected vector
+     [Predictor.featurize] would recompute.  Returning the stored vector
+     verbatim keeps batch predictions bit-identical to the uncached path.
+     The [Memo] is bounded, so a long-lived server's cache stays flat as
+     distinct loops stream past, and locked, so concurrent [predict_batch]
+     calls (the serve path swaps services under load) stay safe. *)
+  cache : (Digest.t, float array) Memo.t;
 }
 
 let default_cache_capacity = 8192
@@ -51,55 +40,24 @@ let create ?telemetry ?(cache_capacity = default_cache_capacity) (config : Confi
             Digest.to_hex (Digest.string (Model_artifact.to_string artifact));
           label_space = artifact.Model_artifact.label_space;
           telemetry;
-          cache = Hashtbl.create (min 256 (max 16 cache_capacity));
-          order = Queue.create ();
-          capacity = max 0 cache_capacity;
-          lock = Mutex.create ();
-          hits = 0;
-          misses = 0;
-          evictions = 0;
+          cache = Memo.create cache_capacity;
         })
 
 let predictor t = t.predictor
 
-let loop_key (loop : Loop.t) =
-  Digest.string (Marshal.to_string { loop with Loop.name = "" } [])
-
 let featurize t loop =
-  if t.capacity = 0 then begin
-    (* Caching disabled: every lookup is a miss and nothing is stored. *)
-    Mutex.lock t.lock;
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.lock;
-    Predictor.featurize t.predictor t.config loop
-  end
-  else begin
-    let key = loop_key loop in
-    Mutex.lock t.lock;
-    match Hashtbl.find_opt t.cache key with
-    | Some x ->
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.lock;
-      x
-    | None ->
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.lock;
-      let x = Predictor.featurize t.predictor t.config loop in
-      Mutex.lock t.lock;
-      (* Another batch may have raced the same key in; keep the incumbent so
-         the FIFO order stays one entry per key. *)
-      if not (Hashtbl.mem t.cache key) then begin
-        Hashtbl.replace t.cache key x;
-        Queue.push key t.order;
-        while Hashtbl.length t.cache > t.capacity do
-          let oldest = Queue.pop t.order in
-          Hashtbl.remove t.cache oldest;
-          t.evictions <- t.evictions + 1
-        done
-      end;
-      Mutex.unlock t.lock;
-      x
-  end
+  let key = Loop.digest loop in
+  match Memo.find t.cache key with
+  | Some x -> x
+  | None ->
+    let x = Predictor.featurize t.predictor t.config loop in
+    Memo.add t.cache key x;
+    x
+
+let cache_hits t = Memo.hits t.cache
+let cache_misses t = Memo.misses t.cache
+let cache_evictions t = Memo.evictions t.cache
+let cache_size t = Memo.length t.cache
 
 let record t field n =
   match t.telemetry with
@@ -118,7 +76,7 @@ let classify_batch ?(jobs = 1) t loops =
     if Loop.unrollable loops.(i) then idx := i :: !idx
   done;
   let idx = Array.of_list !idx in
-  let hits0 = t.hits and misses0 = t.misses and evict0 = t.evictions in
+  let hits0 = cache_hits t and misses0 = cache_misses t and evict0 = cache_evictions t in
   (* Featurisation stays sequential so cache insertion order — and with it
      FIFO eviction — is deterministic in the request order. *)
   let vectors = Array.map (fun i -> featurize t loops.(i)) idx in
@@ -150,9 +108,9 @@ let classify_batch ?(jobs = 1) t loops =
         out.(idx.(k)) <- Predictor.classify_scaled t.predictor (Mat.row m k))
   end;
   record t "loops" n;
-  record t "vector-cache-hits" (t.hits - hits0);
-  record t "vector-cache-misses" (t.misses - misses0);
-  record t "vector-cache-evictions" (t.evictions - evict0);
+  record t "vector-cache-hits" (cache_hits t - hits0);
+  record t "vector-cache-misses" (cache_misses t - misses0);
+  record t "vector-cache-evictions" (cache_evictions t - evict0);
   out
 
 let predict_batch ?jobs t loops =
@@ -172,7 +130,3 @@ let predict t loop = (predict_batch t [ loop ]).(0)
 let model_kind t = t.model_kind
 let model_digest t = t.model_digest
 let label_space t = t.label_space
-let cache_hits t = t.hits
-let cache_misses t = t.misses
-let cache_evictions t = t.evictions
-let cache_size t = Hashtbl.length t.cache

@@ -6,13 +6,13 @@
     prediction traffic in batches: query loops are featurised once, the
     scaled vectors assembled into one flat row-major matrix through
     {!Dataset.points_matrix}, and classified row by row.  A
-    per-artifact feature-vector cache (keyed by loop content, names
-    blanked) means repeated loops — the common case for a compiler
+    per-artifact feature-vector cache (keyed by {!Loop.digest}, so names
+    are blanked) means repeated loops — the common case for a compiler
     serving many compilation units of the same program — skip feature
-    extraction and normalisation entirely.  The cache is bounded
-    ([cache_capacity] entries, FIFO eviction in insertion order), so a
-    long-lived server's footprint stays flat no matter how many distinct
-    loops stream past.
+    extraction and normalisation entirely.  The cache is a {!Memo}:
+    bounded ([cache_capacity] entries, FIFO eviction in insertion order),
+    so a long-lived server's footprint stays flat no matter how many
+    distinct loops stream past.
 
     Predictions are bit-identical to calling {!Predictor.predict} with
     the same artifact's model loop by loop — at any [jobs] value: the

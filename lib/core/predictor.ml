@@ -40,7 +40,7 @@ let to_artifact ?(label_space = Model_artifact.Factor) (config : Config.t) ~data
         {
           Model_artifact.dataset_digest;
           machine_name = config.Config.machine.Machine.mach_name;
-          machine_digest = Model_artifact.machine_digest config.Config.machine;
+          machine_digest = Digest.to_hex (Machine.digest config.Config.machine);
           code_version = Model_artifact.code_version;
         };
       label_space;

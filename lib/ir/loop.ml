@@ -65,6 +65,8 @@ let has_early_exit t =
 
 let has_call t = count (fun op -> match op.Op.opcode with Op.Call -> true | _ -> false) t > 0
 
+let digest t = Digest.string (Marshal.to_string { t with name = "" } [])
+
 let unrollable t = not (has_call t || has_early_exit t)
 
 let code_bytes t =

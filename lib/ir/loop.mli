@@ -59,6 +59,12 @@ val indirect_ref_count : t -> int
 val has_early_exit : t -> bool
 val has_call : t -> bool
 
+val digest : t -> Digest.t
+(** The loop's name-blind content address: MD5 of the marshalled loop with
+    its name blanked, so structurally identical loops under different
+    names share it.  The one loop digest behind {!Compile_cache},
+    {!Deps_memo} and the serve feature cache. *)
+
 val unrollable : t -> bool
 (** Whether the reference compiler's unroller handles this loop: no calls
     and no early exits (as in ORC; the paper trains only on "loops that ORC

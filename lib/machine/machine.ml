@@ -69,6 +69,8 @@ let units_of_kind m = function
 
 let ceil_div a b = (a + b - 1) / b
 
+let digest (m : t) = Digest.string (Marshal.to_string m [])
+
 let res_cycles m ops =
   let counts = [| 0; 0; 0; 0 |] in
   let idx = function M -> 0 | I -> 1 | F -> 2 | B -> 3 in

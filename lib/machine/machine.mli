@@ -63,6 +63,10 @@ val latency : t -> Op.t -> int
 (** Result latency of an op on this machine (assuming an L1 hit for
     loads; cache misses add stalls at simulation time). *)
 
+val digest : t -> Digest.t
+(** MD5 of the marshalled description: every field participates.  Its hex
+    form is the [machine] line of a model artifact. *)
+
 val res_cycles : t -> Op.t array -> int
 (** Resource-bound lower bound on cycles for one iteration of [ops]:
     the most-subscribed unit class, also bounded by total issue width.

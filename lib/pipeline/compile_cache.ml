@@ -1,107 +1,36 @@
 type key = string
 
-(* A bounded hashtable with oldest-first eviction: entries remember their
-   insertion order through a queue; when over capacity the head is
-   dropped.  Re-insertions of a live key are no-ops, so the queue never
-   holds stale duplicates. *)
-type 'v store = {
-  table : (key, 'v) Hashtbl.t;
-  fifo : key Queue.t;
-  capacity : int;
-}
-
-let store_create capacity = { table = Hashtbl.create 64; fifo = Queue.create (); capacity }
-
-let store_find s k = Hashtbl.find_opt s.table k
-
-let store_add s k v =
-  if s.capacity > 0 && not (Hashtbl.mem s.table k) then begin
-    if Hashtbl.length s.table >= s.capacity then begin
-      let oldest = Queue.pop s.fifo in
-      Hashtbl.remove s.table oldest
-    end;
-    Hashtbl.add s.table k v;
-    Queue.push k s.fifo
-  end
-
-let store_clear s =
-  Hashtbl.reset s.table;
-  Queue.clear s.fifo
-
 type t = {
-  mutex : Mutex.t;
-  exes : Pipeline_state.executable store;
-  cycles : int store;
-  telemetry : Telemetry.t;
-  mutable hit_count : int;
-  mutable miss_count : int;
+  exes : (key, Pipeline_state.executable) Memo.t;
+  cycles : (key * int option, int) Memo.t;
 }
 
 let create ?(exe_capacity = 4096) ?(cycles_capacity = 262144)
     ?(telemetry = Telemetry.global) () =
-  {
-    mutex = Mutex.create ();
-    exes = store_create exe_capacity;
-    cycles = store_create cycles_capacity;
-    telemetry;
-    hit_count = 0;
-    miss_count = 0;
-  }
+  let telemetry = (telemetry, "compile-cache") in
+  { exes = Memo.create ~telemetry exe_capacity; cycles = Memo.create ~telemetry cycles_capacity }
 
 let global = create ()
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let key ~machine ~swp ~factor loop =
+  (* Both digests have a fixed width, so the concatenation is unambiguous. *)
+  Digest.string (Loop.digest loop ^ Machine.digest machine ^ Printf.sprintf "%d:%b" factor swp)
 
-let key ~machine ~swp ~factor (loop : Loop.t) =
-  (* Content address: the name does not participate, so structurally
-     identical loops share compiles.  Marshal covers every field of both
-     records (pure data, no closures). *)
-  Digest.string
-    (Marshal.to_string ({ loop with Loop.name = "" }, factor, swp, machine) [])
+let find_exe t k = Memo.find t.exes k
+let store_exe t k exe = Memo.add t.exes k exe
 
-let tally t found =
-  if found then begin
-    t.hit_count <- t.hit_count + 1;
-    Telemetry.incr t.telemetry ~pass:"compile-cache" "hits" 1
-  end
-  else begin
-    t.miss_count <- t.miss_count + 1;
-    Telemetry.incr t.telemetry ~pass:"compile-cache" "misses" 1
-  end
+(* The simulation window changes the extrapolation, so it is part of the
+   cycles key. *)
+let find_cycles t k ~max_sim_iters = Memo.find t.cycles (k, max_sim_iters)
+let store_cycles t k ~max_sim_iters c = Memo.add t.cycles (k, max_sim_iters) c
 
-let find_exe t k =
-  locked t (fun () ->
-      let r = store_find t.exes k in
-      tally t (r <> None);
-      r)
-
-let store_exe t k exe = locked t (fun () -> store_add t.exes k exe)
-
-let cycles_key k ~max_sim_iters =
-  k ^ ":" ^ (match max_sim_iters with Some n -> string_of_int n | None -> "d")
-
-let find_cycles t k ~max_sim_iters =
-  locked t (fun () ->
-      let r = store_find t.cycles (cycles_key k ~max_sim_iters) in
-      tally t (r <> None);
-      r)
-
-let store_cycles t k ~max_sim_iters c =
-  locked t (fun () -> store_add t.cycles (cycles_key k ~max_sim_iters) c)
-
-let hits t = locked t (fun () -> t.hit_count)
-let misses t = locked t (fun () -> t.miss_count)
+let hits t = Memo.hits t.exes + Memo.hits t.cycles
+let misses t = Memo.misses t.exes + Memo.misses t.cycles
 
 let hit_rate t =
-  locked t (fun () ->
-      let total = t.hit_count + t.miss_count in
-      if total = 0 then 0.0 else float_of_int t.hit_count /. float_of_int total)
+  let h = hits t and m = misses t in
+  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
 
 let clear t =
-  locked t (fun () ->
-      store_clear t.exes;
-      store_clear t.cycles;
-      t.hit_count <- 0;
-      t.miss_count <- 0)
+  Memo.clear t.exes;
+  Memo.clear t.cycles

@@ -4,13 +4,13 @@
     twice (SWP off/on), and the experiment drivers re-enter the compiler
     with the same loops again and again.  This cache memoises both the
     compiled executables and the deterministic (noise-free) cycle counts,
-    keyed by a digest of the loop's {e content} (its name is blanked, so
-    identical loops under different names share entries), the unroll
-    factor, the SWP flag, and the full machine description.
+    keyed by {!Loop.digest} (the loop's {e content}: its name is blanked,
+    so identical loops under different names share entries), the unroll
+    factor, the SWP flag, and {!Machine.digest}.
 
-    All operations are mutex-protected: worker domains of the parallel
-    labelling sweep share one cache.  Both stores are bounded and evict
-    oldest-first; a capacity of 0 disables storing entirely (useful for
+    The two stores are {!Memo} tables: thread-safe (worker domains of the
+    parallel labelling sweep share one cache), bounded, oldest-first
+    eviction; a capacity of 0 disables storing entirely (useful for
     benchmarking cold compiles).  Hit/miss counters feed the telemetry
     sink under the ["compile-cache"] pass. *)
 
@@ -27,8 +27,9 @@ val global : t
 (** The process-wide cache used by {!val:Pipeline.compile} by default. *)
 
 val key : machine:Machine.t -> swp:bool -> factor:int -> Loop.t -> key
-(** Digest of the quadruple.  Every field of the loop except its name and
-    every field of the machine participate. *)
+(** Digest of [Loop.digest loop], [Machine.digest machine], the factor and
+    the SWP flag: every field of the loop except its name and every field
+    of the machine participate. *)
 
 val find_exe : t -> key -> Pipeline_state.executable option
 val store_exe : t -> key -> Pipeline_state.executable -> unit

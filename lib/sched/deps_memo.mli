@@ -4,9 +4,9 @@
     the schedule pass, the allocator's respill rounds, the modulo
     scheduler's RecMII and placement phases, the simulator's operand
     resolution and feature extraction all pull the same entry.  Keyed like
-    {!Compile_cache}: a digest of the marshalled loop with its name blanked
-    plus the machine (which determines the latency model).  Thread-safe and
-    bounded (oldest-first eviction). *)
+    {!Compile_cache}: a digest of {!Loop.digest} (name blanked) and
+    {!Machine.digest} (the machine determines the latency model).  The
+    table is a {!Memo}: thread-safe and bounded (oldest-first eviction). *)
 
 type entry = { deps : Deps.t; csr : Deps.csr }
 
@@ -28,5 +28,4 @@ val deps : ?memo:t -> Machine.t -> Loop.t -> Deps.t
 
 val hits : t -> int
 val misses : t -> int
-val hit_rate : t -> float
 val clear : t -> unit

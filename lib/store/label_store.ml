@@ -153,6 +153,10 @@ let close t =
 
 let path t = t.path
 
+(* Not built from [Loop.digest]/[Machine.digest] like the in-memory cache
+   keys: these bytes are persisted in every journal (the golden fixture
+   journal and the benchmark's train workload pin them), so the tuple
+   marshalled here must not change. *)
 let sweep_key ~machine ~swp ~noise ~noise_seed ~runs ~max_sim_iters ~bench ~index
     (loop : Loop.t) =
   Digest.to_hex

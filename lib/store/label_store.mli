@@ -46,7 +46,7 @@ val sweep_key :
   machine:Machine.t -> swp:bool -> noise:float -> noise_seed:int -> runs:int ->
   max_sim_iters:int -> bench:string -> index:int -> Loop.t -> string
 (** The identity of one loop's measurement sweep: a hex digest over the
-    loop's content (name blanked, like {!Compile_cache.key}), the full
+    loop's content (name blanked, like {!Loop.digest}), the full
     machine description, the SWP flag, every measurement parameter, and
     the (benchmark, loop index) pair that seeds the noise RNG.  Two
     structurally identical loops in different suite slots get different

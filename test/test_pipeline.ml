@@ -100,7 +100,29 @@ let test_cache_key_ignores_name () =
     <> Compile_cache.key ~machine ~swp:false ~factor:5 a);
   Alcotest.(check bool) "swp participates" true
     (Compile_cache.key ~machine ~swp:false ~factor:4 a
-    <> Compile_cache.key ~machine ~swp:true ~factor:4 a)
+    <> Compile_cache.key ~machine ~swp:true ~factor:4 a);
+  (* Every table keyed by [Loop.digest] serves the renamed loop from the
+     entry the first name filled. *)
+  let cache = Compile_cache.create ~telemetry:(Telemetry.create ()) () in
+  ignore (Pipeline.compile ~cache machine ~swp:false a 4);
+  let hits = Compile_cache.hits cache in
+  ignore (Pipeline.compile ~cache machine ~swp:false b 4);
+  Alcotest.(check int) "compile cache hit" (hits + 1) (Compile_cache.hits cache);
+  let memo = Deps_memo.create ~telemetry:(Telemetry.create ()) () in
+  ignore (Deps_memo.get ~memo machine a);
+  let hits = Deps_memo.hits memo in
+  ignore (Deps_memo.get ~memo machine b);
+  Alcotest.(check int) "deps memo hit" (hits + 1) (Deps_memo.hits memo);
+  let service =
+    let artifact = Test_store.load_artifact_exn (Test_store.fixture "golden_nn.artifact") in
+    match Predict_service.create Test_store.fixture_config artifact with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  ignore (Predict_service.predict service a);
+  let hits = Predict_service.cache_hits service in
+  ignore (Predict_service.predict service b);
+  Alcotest.(check int) "feature cache hit" (hits + 1) (Predict_service.cache_hits service)
 
 let test_cache_cycles_keyed_by_window () =
   (* The simulation window changes the extrapolated cycle count, so it must

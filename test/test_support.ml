@@ -282,6 +282,64 @@ let test_default_jobs_env_override () =
       Alcotest.(check bool) "uncapped recommended count" true
         (Parallel.default_jobs () = Domain.recommended_domain_count ()))
 
+(* --- Memo --- *)
+
+let test_memo_fifo_order () =
+  let m = Memo.create 3 in
+  for k = 1 to 5 do
+    Memo.add m k (k * 10)
+  done;
+  Alcotest.(check (list (option int))) "oldest two evicted"
+    [ None; None; Some 30; Some 40; Some 50 ]
+    (List.map (Memo.find m) [ 1; 2; 3; 4; 5 ]);
+  Alcotest.(check int) "length" 3 (Memo.length m);
+  Alcotest.(check int) "evictions" 2 (Memo.evictions m)
+
+let test_memo_readd_is_noop () =
+  let m = Memo.create 3 in
+  List.iter (fun k -> Memo.add m k k) [ 1; 2; 3 ];
+  Memo.add m 1 100;
+  Alcotest.(check int) "no growth" 3 (Memo.length m);
+  Alcotest.(check (option int)) "incumbent value kept" (Some 1) (Memo.find m 1);
+  Memo.add m 4 4;
+  Alcotest.(check (option int)) "key 1 still evicted first" None (Memo.find m 1);
+  Alcotest.(check (option int)) "key 2 survives" (Some 2) (Memo.find m 2);
+  Alcotest.(check int) "one eviction" 1 (Memo.evictions m)
+
+let test_memo_capacity_zero () =
+  let tel = Telemetry.create () in
+  let m = Memo.create ~telemetry:(tel, "memo") 0 in
+  Memo.add m "a" 1;
+  Alcotest.(check (option int)) "nothing stored" None (Memo.find m "a");
+  Alcotest.(check (option int)) "still nothing" None (Memo.find m "a");
+  Alcotest.(check int) "empty" 0 (Memo.length m);
+  Alcotest.(check int) "no hits" 0 (Memo.hits m);
+  Alcotest.(check int) "every lookup a miss" 2 (Memo.misses m);
+  Alcotest.(check int) "telemetry misses" 2 (Telemetry.counter tel ~pass:"memo" "misses");
+  Memo.clear m;
+  Alcotest.(check int) "clear zeroes counters" 0 (Memo.misses m)
+
+let test_memo_stress () =
+  let capacity = 64 and per_domain = 2500 in
+  let m = Memo.create capacity in
+  let worker d () =
+    let lookups = ref 0 and wrong = ref 0 in
+    for i = 0 to per_domain - 1 do
+      let k = ((i * 7919) + (d * 104729)) mod 200 in
+      if (i + d) mod 3 = 0 then Memo.add m k (k * k)
+      else begin
+        incr lookups;
+        match Memo.find m k with Some v when v <> k * k -> incr wrong | _ -> ()
+      end
+    done;
+    (!lookups, !wrong)
+  in
+  let results = List.map Domain.join (List.init 4 (fun d -> Domain.spawn (worker d))) in
+  let lookups = List.fold_left (fun acc (l, _) -> acc + l) 0 results in
+  Alcotest.(check int) "no wrong values" 0 (List.fold_left (fun acc (_, w) -> acc + w) 0 results);
+  Alcotest.(check int) "hits + misses = lookups" lookups (Memo.hits m + Memo.misses m);
+  Alcotest.(check bool) "length within capacity" true (Memo.length m <= capacity)
+
 (* Chaos: random task costs, random raisers, random nesting — results and
    the identity of the raised exception must match the sequential run at
    every job count. *)
@@ -376,6 +434,10 @@ let suite =
     ("parallel fork_join", `Quick, test_fork_join);
     ("parallel steals under skew", `Quick, test_steal_counter_skew);
     ("parallel default_jobs env", `Quick, test_default_jobs_env_override);
+    ("memo fifo eviction order", `Quick, test_memo_fifo_order);
+    ("memo re-add is a no-op", `Quick, test_memo_readd_is_noop);
+    ("memo capacity zero", `Quick, test_memo_capacity_zero);
+    ("memo 4-domain stress", `Quick, test_memo_stress);
     QCheck_alcotest.to_alcotest prop_parallel_chaos;
     QCheck_alcotest.to_alcotest prop_median_bounded;
     QCheck_alcotest.to_alcotest prop_rank_is_permutation;

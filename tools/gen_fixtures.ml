@@ -41,21 +41,25 @@ let () =
   let journal =
     match Label_store.open_ journal_path with Ok j -> j | Error e -> failwith e
   in
-  (* Four trainings, one sweep: the first run fills the journal, the rest
-     resume from it entirely. *)
-  let train model = Train.run ~progress:true ~journal config ~swp:false ~model in
-  let nn_artifact, _ = train Train.Nn in
-  let svm_artifact, _ = train Train.Svm in
-  let mlp_artifact, _ = train Train.Mlp in
-  let best_artifact, report = train Train.Best in
+  (* One training per [--model] choice, one sweep: the first run fills the
+     journal, the rest resume from it entirely.  Each learner ships an
+     artifact and its predictions; "best" ships the headline predictions. *)
+  let trained =
+    List.map
+      (fun (name, model) -> (name, Train.run ~progress:true ~journal config ~swp:false ~model))
+      Train.model_choices
+  in
   let journal_records = Label_store.size journal in
   Label_store.close journal;
-  Model_artifact.save nn_artifact (Filename.concat dir "golden_nn.artifact");
-  Model_artifact.save svm_artifact (Filename.concat dir "golden_svm.artifact");
-  Model_artifact.save mlp_artifact (Filename.concat dir "golden_mlp.artifact");
-  write_predictions config nn_artifact (Filename.concat dir "golden_nn_predictions.txt");
-  write_predictions config svm_artifact (Filename.concat dir "golden_svm_predictions.txt");
-  write_predictions config mlp_artifact (Filename.concat dir "golden_mlp_predictions.txt");
-  write_predictions config best_artifact (Filename.concat dir "golden_predictions.txt");
+  let fixture name = Filename.concat dir name in
+  List.iter
+    (fun (name, (artifact, _)) ->
+      if name = "best" then write_predictions config artifact (fixture "golden_predictions.txt")
+      else begin
+        Model_artifact.save artifact (fixture ("golden_" ^ name ^ ".artifact"));
+        write_predictions config artifact (fixture ("golden_" ^ name ^ "_predictions.txt"))
+      end)
+    trained;
+  let report = snd (List.assoc "best" trained) in
   Printf.printf "fixtures written to %s (best = %s, journal %d records, digest %s)\n" dir
     report.Train.chosen journal_records report.Train.dataset_digest
