@@ -107,6 +107,11 @@ let heights (g : Deps.csr) ii =
   done;
   h
 
+let charge_reg int_req fp_req (r : Op.reg) =
+  match r.Op.cls with
+  | Op.Int -> incr int_req
+  | Op.Flt -> incr fp_req
+
 (* Rotating-register requirement at a given schedule. *)
 let register_requirement (loop : Loop.t) edges assignment ii =
   let body = loop.Loop.body in
@@ -131,17 +136,21 @@ let register_requirement (loop : Loop.t) edges assignment ii =
     | None -> ()
   done;
   (* Loop invariants each hold a register for the whole loop. *)
-  List.iter
-    (fun (r : Op.reg) ->
-      match r.Op.cls with
-      | Op.Int -> incr int_req
-      | Op.Flt -> incr fp_req)
-    (Loop.live_in_regs loop);
+  List.iter (charge_reg int_req fp_req) (Loop.live_in_regs loop);
   (!int_req, !fp_req)
 
-let try_ii machine (loop : Loop.t) edges (g : Deps.csr) ii =
-  let body = loop.Loop.body in
-  let n = Array.length body in
+(* The floor of [register_requirement] over every II and placement: a
+   defined value needs at least one copy (its lifetime is clamped to 1, so
+   ceil(lifetime / II) >= 1) and an invariant exactly one register. *)
+let min_register_requirement (loop : Loop.t) =
+  let int_req = ref 0 and fp_req = ref 0 in
+  Array.iter (fun (op : Op.t) -> Option.iter (charge_reg int_req fp_req) op.Op.dst) loop.Loop.body;
+  List.iter (charge_reg int_req fp_req) (Loop.live_in_regs loop);
+  (!int_req, !fp_req)
+
+(* Per-op incoming and outgoing edge lists; they do not depend on the II,
+   so [schedule] builds them once for every [try_ii]. *)
+let adjacency n edges =
   let preds = Array.make n [] in
   let succs = Array.make n [] in
   List.iter
@@ -149,6 +158,11 @@ let try_ii machine (loop : Loop.t) edges (g : Deps.csr) ii =
       preds.(e.Deps.dst) <- e :: preds.(e.Deps.dst);
       succs.(e.Deps.src) <- e :: succs.(e.Deps.src))
     edges;
+  (preds, succs)
+
+let try_ii machine (loop : Loop.t) (preds, succs) (g : Deps.csr) ii =
+  let body = loop.Loop.body in
+  let n = Array.length body in
   let h = heights g ii in
   let time = Array.make n (-1) in
   let prev_time = Array.make n (-1) in
@@ -247,19 +261,35 @@ let try_ii machine (loop : Loop.t) edges (g : Deps.csr) ii =
   done;
   if !failed then None else Some time
 
+(* No II can pass the rotating-register check in [schedule] when the
+   floor already exceeds a rotating file. *)
+let over_register_floor machine loop =
+  let int_floor, fp_floor = min_register_requirement loop in
+  int_floor > machine.Machine.rot_int_regs || fp_floor > machine.Machine.rot_fp_regs
+
+let tel name = Telemetry.incr Telemetry.global ~pass:"modulo-sched" name 1
+
 let schedule ?(max_ii = 128) ?memo machine (loop : Loop.t) =
+  tel "attempts";
   if Loop.has_call loop || Loop.has_early_exit loop then None
+  else if over_register_floor machine loop then begin
+    (* Refused before paying for the dependence graph, RecMII and the II
+       search. *)
+    tel "refused-regs";
+    None
+  end
   else begin
     (* One shared dependence analysis feeds RecMII, placement heights and
        the placement loop itself. *)
     let entry = Deps_memo.get ?memo machine loop in
     let g = entry.Deps_memo.csr in
     let edges = usable_edges entry.Deps_memo.deps in
+    let adj = adjacency (Array.length loop.Loop.body) edges in
     let mii = max (res_mii machine loop) (rec_mii_of g) in
     let rec attempt ii =
       if ii > max_ii then None
       else
-        match try_ii machine loop edges g ii with
+        match try_ii machine loop adj g ii with
         | None -> attempt (ii + 1)
         | Some time ->
           let int_req, fp_req = register_requirement loop edges time ii in

@@ -9,6 +9,13 @@
     register files — the way too-aggressive pipelining manifests as register
     pressure on Itanium.
 
+    That requirement has a floor that holds at every II and placement: each
+    defined value costs at least one rotating register and each invariant
+    exactly one.  A loop whose floor already exceeds a rotating file can
+    pass the check at no II, so [schedule] refuses it before building the
+    dependence graph, computing RecMII or trying any II.  On register-heavy
+    unrolled bodies this refusal is the common case.
+
     Loops containing calls or early exits are not pipelined (as in ORC);
     [schedule] returns [None] and the caller falls back to list scheduling. *)
 
@@ -24,8 +31,26 @@ val rec_mii : ?memo:Deps_memo.t -> Machine.t -> Loop.t -> int
 val res_mii : Machine.t -> Loop.t -> int
 (** Resource-constrained minimum II (see {!Machine.res_cycles}). *)
 
+val register_requirement : Loop.t -> Deps.edge list -> int array -> int -> int * int
+(** [register_requirement loop edges assignment ii] is the
+    [(int, fp)] rotating-register demand of a pipelined placement: each
+    defined value holds [max 1 (ceil (lifetime / ii))] registers, where its
+    lifetime is the longest register-flow span in [edges] (other edge kinds
+    are ignored), and each {!Loop.live_in_regs} invariant holds one. *)
+
+val min_register_requirement : Loop.t -> int * int
+(** [(int, fp)] floor of {!register_requirement} over every [ii >= 1] and
+    every assignment: per class, the number of ops with a destination plus
+    the number of loop invariants. *)
+
 val schedule : ?max_ii:int -> ?memo:Deps_memo.t -> Machine.t -> Loop.t -> Schedule.t option
 (** Pipelines the loop, trying II from MII upwards to [max_ii] (default
-    128).  Returns [None] for loops that cannot or should not be pipelined.
-    The dependence graph is built once per call via [memo] (default
-    {!Deps_memo.global}) and shared by RecMII and placement. *)
+    128).  Returns [None] for loops that cannot or should not be pipelined:
+    calls or early exits, a {!min_register_requirement} above
+    [rot_int_regs] or [rot_fp_regs] (checked first, since no II could
+    then fit the rotating files), or no II up to [max_ii] that places and
+    fits.  The dependence graph is built once per call via [memo] (default
+    {!Deps_memo.global}) and shared by RecMII and placement; refused loops
+    never consult it.  Every call bumps [attempts], and every register
+    refusal [refused-regs], under pass ["modulo-sched"] in
+    {!Telemetry.global}. *)

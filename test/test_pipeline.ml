@@ -53,6 +53,52 @@ let test_pipeline_matches_simulator_compile () =
         [ 1; 3; 8 ])
     Kernels.all
 
+(* --- pinned executables ------------------------------------------------ *)
+
+(* A stable printed form of an executable: per schedule its kind, II and
+   stages, length, issue assignment, spills, pressures, trips and phase,
+   then the executable's own accounting. *)
+let print_exe b (exe : Pipeline_state.executable) =
+  List.iter
+    (fun ((s : Schedule.t), trips, phase) ->
+      (match s.Schedule.kind with
+      | Schedule.Straight -> Buffer.add_string b " straight"
+      | Schedule.Pipelined { ii; stages } -> Printf.bprintf b " pipelined ii=%d stages=%d" ii stages);
+      Printf.bprintf b " len=%d spills=%d int=%d fp=%d trips=%d phase=%d [" s.Schedule.length
+        s.Schedule.spills s.Schedule.int_pressure s.Schedule.fp_pressure trips phase;
+      Array.iter (Printf.bprintf b " %d") s.Schedule.assignment;
+      Buffer.add_string b " ]")
+    exe.Pipeline_state.schedules;
+  Printf.bprintf b " u=%d bytes=%d outer=%d exit=%h entry=%d spills=%d\n"
+    exe.Pipeline_state.unroll_factor exe.Pipeline_state.total_code_bytes
+    exe.Pipeline_state.outer_trip exe.Pipeline_state.exit_prob
+    exe.Pipeline_state.entry_extra_cycles exe.Pipeline_state.total_spills
+
+(* MD5 of every (loop, factor 1..8, swp off/on) executable of the joint
+   sweep's loop set (SPEC2000 at scale 0.03: 43 loops, 688 compiles).
+   Scheduler speedups must leave every executable bit-identical. *)
+let pinned_exes_digest = "4b16069bb8daef26819393f04476cab9"
+
+let test_pinned_executables () =
+  let cfg = Config.fast in
+  let tasks = Labeling.tasks (Suite.spec2000 ~scale:0.03 ~seed:cfg.Config.seed) in
+  Alcotest.(check int) "loop count" 43 (Array.length tasks);
+  let cache = Compile_cache.create ~exe_capacity:0 ~cycles_capacity:0 () in
+  let b = Buffer.create (1 lsl 20) in
+  Array.iter
+    (fun (bench, _, loop, _) ->
+      List.iter
+        (fun swp ->
+          for u = 1 to Unroll.max_factor do
+            let exe = Pipeline.compile ~cache cfg.Config.machine ~swp loop u in
+            Printf.bprintf b "%s %s swp=%b u=%d:" bench loop.Loop.name swp u;
+            print_exe b exe
+          done)
+        [ false; true ])
+    tasks;
+  Alcotest.(check string) "executables digest" pinned_exes_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- telemetry --------------------------------------------------------- *)
 
 let test_telemetry_records_passes () =
@@ -193,4 +239,5 @@ let suite =
     ("capacity 0 disables the cache", `Quick, test_cache_capacity_zero_disables);
     ("jobs=4 labels identical to jobs=1", `Slow, test_parallel_labels_identical);
     ("jobs=4 LOOCV identical to jobs=1", `Quick, test_parallel_loocv_identical);
+    ("pinned executables digest", `Quick, test_pinned_executables);
   ]

@@ -230,6 +230,83 @@ let prop_modulo_ii_at_least_mii =
           ii >= Modulo_sched.res_mii machine l && ii >= Modulo_sched.rec_mii machine l
         | Schedule.Straight -> false))
 
+(* --- The rotating-register floor --- *)
+
+(* Kernels the pipeline would hand the modulo scheduler: structured fuzz
+   loops and SPEC2000 suite loops, unrolled 1..8 and cleaned by RLE, on
+   every machine model — embedded2's 24-register rotating files make the
+   refusal branch common. *)
+let suite_loops =
+  lazy
+    (Suite.all_loops (Suite.spec2000 ~scale:0.03 ~seed:Config.fast.Config.seed)
+    |> List.map snd |> Array.of_list)
+
+let floor_gen =
+  QCheck.Gen.(
+    let* from_suite = bool in
+    let* seed = 0 -- 30000 in
+    let* f = 1 -- 8 in
+    let* m = 0 -- (List.length Machine.all - 1) in
+    let* ii = 1 -- 32 in
+    let loop =
+      if from_suite then
+        let loops = Lazy.force suite_loops in
+        loops.(seed mod Array.length loops)
+      else (Fuzz.Gen.case ~seed ~id:seed ()).Fuzz.Gen.loop
+    in
+    let kernel = (Rle.run (Unroll.run loop f).Unroll.kernel).Rle.loop in
+    return (List.nth Machine.all m, kernel, ii, seed))
+
+let print_floor_case (m, (l : Loop.t), ii, seed) =
+  Printf.sprintf "%s %s (%d ops) ii=%d seed=%d" m.Machine.mach_name l.Loop.name
+    (Array.length l.Loop.body) ii seed
+
+let over_floor m l =
+  let int_floor, fp_floor = Modulo_sched.min_register_requirement l in
+  int_floor > m.Machine.rot_int_regs || fp_floor > m.Machine.rot_fp_regs
+
+let prop_register_floor =
+  QCheck.Test.make ~count:300 ~name:"register_requirement >= its II-independent floor"
+    (QCheck.make ~print:print_floor_case floor_gen)
+    (fun (m, l, ii, seed) ->
+      let edges = (Deps_memo.deps m l).Deps.edges in
+      let n = Array.length l.Loop.body in
+      let rng = Rng.create seed in
+      (* Any assignment, dependence-respecting or not. *)
+      let assignment = Array.init n (fun _ -> Rng.int rng ((4 * n) + 1)) in
+      let int_req, fp_req = Modulo_sched.register_requirement l edges assignment ii in
+      let int_floor, fp_floor = Modulo_sched.min_register_requirement l in
+      int_req >= int_floor && fp_req >= fp_floor)
+
+let prop_floor_refusal_sound =
+  QCheck.Test.make ~count:60 ~name:"a loop over the floor is refused, and no II would fit it"
+    (QCheck.make ~print:print_floor_case floor_gen)
+    (fun (m, l, _, _) ->
+      (not (over_floor m l))
+      || Modulo_sched.schedule m l = None
+         &&
+         (* With unbounded rotating files the search returns the first
+            placement the real machine's search would check, which must
+            already need more registers than the real files hold. *)
+         let unbounded = { m with Machine.rot_int_regs = max_int; rot_fp_regs = max_int } in
+         match Modulo_sched.schedule unbounded l with
+         | None -> true
+         | Some s ->
+           s.Schedule.int_pressure > m.Machine.rot_int_regs
+           || s.Schedule.fp_pressure > m.Machine.rot_fp_regs)
+
+let test_floor_refusal_counted () =
+  let m = Machine.embedded2 in
+  let l = (Unroll.run (Kernels.fir8 ~name:"m_floor" ~trip:64) 8).Unroll.kernel in
+  Alcotest.(check bool) "fir8 x8 is over embedded2's floor" true (over_floor m l);
+  let count name = Telemetry.counter Telemetry.global ~pass:"modulo-sched" name in
+  let attempts = count "attempts" and refused = count "refused-regs" in
+  Alcotest.(check bool) "refused" true (Modulo_sched.schedule m l = None);
+  Alcotest.(check bool) "ddot pipelines" true
+    (Modulo_sched.schedule m (Kernels.ddot ~name:"m_floor_ddot" ~trip:64) <> None);
+  Alcotest.(check int) "attempts counted" (attempts + 2) (count "attempts");
+  Alcotest.(check int) "one refusal counted" (refused + 1) (count "refused-regs")
+
 let suite =
   [
     ("list sched validates", `Quick, test_list_sched_validates);
@@ -252,4 +329,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_list_schedule_valid;
     QCheck_alcotest.to_alcotest prop_modulo_schedule_valid;
     QCheck_alcotest.to_alcotest prop_modulo_ii_at_least_mii;
+    QCheck_alcotest.to_alcotest prop_register_floor;
+    QCheck_alcotest.to_alcotest prop_floor_refusal_sound;
+    ("modulo floor refusal counted", `Quick, test_floor_refusal_counted);
   ]
