@@ -6,7 +6,10 @@
     compiled executables and the deterministic (noise-free) cycle counts,
     keyed by {!Loop.digest} (the loop's {e content}: its name is blanked,
     so identical loops under different names share entries), the unroll
-    factor, the SWP flag, and {!Machine.digest}.
+    factor, the SWP flag, and {!Machine.digest}.  {!Pipeline.compile}
+    uses the executables table; the labelling sweep ([Measure.sweep])
+    uses only the cycles table, since its repeats never reach the
+    executable.
 
     The two stores are {!Memo} tables: thread-safe (worker domains of the
     parallel labelling sweep share one cache), bounded, oldest-first

@@ -16,15 +16,18 @@ let kernel_sched_exn (st : Pipeline_state.state) =
 (* Scheduling strategy for this compile: modulo scheduling with list
    fallback when software pipelining is requested, plain list scheduling
    otherwise.  Both the schedule pass and the allocator's respill loop use
-   the same function. *)
+   the same function.  Each call builds the loop's dependence graph once,
+   shared by the modulo attempt and its fallback (and not built at all
+   before a refusal), and hands it over: the resulting [Schedule.t] owns
+   it, so no graph outlives the compile that needed it. *)
 let sched_fn (st : Pipeline_state.state) =
   let machine = st.Pipeline_state.machine in
-  let memo = st.Pipeline_state.deps_memo in
   if st.Pipeline_state.swp then fun l ->
-    (match Modulo_sched.schedule ~memo machine l with
+    let graph = lazy (Deps_memo.build machine l) in
+    (match Modulo_sched.schedule ~graph machine l with
     | Some s -> s
-    | None -> List_sched.schedule ~memo machine l)
-  else List_sched.schedule ~memo machine
+    | None -> List_sched.schedule ~graph:(Lazy.force graph) machine l)
+  else List_sched.schedule machine
 
 let unroll_pass =
   {

@@ -13,20 +13,18 @@ type state = {
   swp : bool;
   factor : int;
   source : Loop.t;
-  deps_memo : Deps_memo.t;
   unrolled : Unroll.t option;
   kernel_sched : Schedule.t option;
   remainder_sched : Schedule.t option;
   exe : executable option;
 }
 
-let init ?(deps_memo = Deps_memo.global) machine ~swp source factor =
+let init machine ~swp source factor =
   {
     machine;
     swp;
     factor;
     source;
-    deps_memo;
     unrolled = None;
     kernel_sched = None;
     remainder_sched = None;

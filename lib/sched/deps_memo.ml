@@ -1,11 +1,10 @@
-(* Shared dependence-graph layer.
+(* Dependence graphs, built once per use site and optionally memoised.
 
-   The same (loop, machine) pair used to be analysed from scratch by the
-   schedule pass, the allocator's respill rounds, the modulo scheduler
-   (twice: RecMII and placement), the simulator's [prepare] and feature
-   extraction — six O(n²) [Deps.build] calls per compiled loop.  This memo
-   builds the graph once per distinct loop content and latency model and
-   hands out the edge-list view together with its flat CSR arrays.
+   The pipeline builds one graph per scheduled loop with [build] and hands
+   it to the schedulers, which attach its CSR view to the [Schedule.t] for
+   the simulator: each graph lives exactly as long as its schedule.  The
+   memo serves callers that re-derive a graph from a loop alone (feature
+   extraction, schedule validation, RecMII queries).
 
    The machine fully determines the latency function, which is the only
    part of [Deps.build] that is not pure loop structure. *)
@@ -19,13 +18,16 @@ let create ?(capacity = 16384) ?(telemetry = Telemetry.global) () =
 
 let global = create ()
 
+let build machine loop =
+  let deps = Deps.build ~latency:(Machine.latency machine) loop in
+  { deps; csr = Deps.to_csr deps }
+
 let get ?(memo = global) machine loop =
   let k = Digest.string (Loop.digest loop ^ Machine.digest machine) in
   match Memo.find memo k with
   | Some e -> e
   | None ->
-    let deps = Deps.build ~latency:(Machine.latency machine) loop in
-    let e = { deps; csr = Deps.to_csr deps } in
+    let e = build machine loop in
     Memo.add memo k e;
     e
 

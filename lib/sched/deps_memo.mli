@@ -1,11 +1,15 @@
-(** Memoised dependence graphs shared across the whole pipeline.
+(** Dependence graphs of (loop, machine) pairs, with an optional memo.
 
-    One [Deps.build] per distinct (loop content, machine) instead of six:
-    the schedule pass, the allocator's respill rounds, the modulo
-    scheduler's RecMII and placement phases, the simulator's operand
-    resolution and feature extraction all pull the same entry.  Keyed like
-    {!Compile_cache}: a digest of {!Loop.digest} (name blanked) and
-    {!Machine.digest} (the machine determines the latency model).  The
+    The compile pipeline calls {!build} once for each loop it schedules
+    and hands the graph to {!List_sched} / {!Modulo_sched}, which attach
+    its CSR view to the {!Schedule.t}; the simulator reads it from there.
+    Nothing is retained past the schedule, so a labelling sweep keeps no
+    graph of a loop it has finished with.
+
+    The memo ({!get}) serves callers that re-derive a graph from a loop
+    alone: feature extraction, {!Schedule.validate} and RecMII queries.
+    Keyed like {!Compile_cache}: a digest of {!Loop.digest} (name blanked)
+    and {!Machine.digest} (the machine determines the latency model).  The
     table is a {!Memo}: thread-safe and bounded (oldest-first eviction). *)
 
 type entry = { deps : Deps.t; csr : Deps.csr }
@@ -18,9 +22,12 @@ val create : ?capacity:int -> ?telemetry:Telemetry.t -> unit -> t
 
 val global : t
 
-val get : ?memo:t -> Machine.t -> Loop.t -> entry
+val build : Machine.t -> Loop.t -> entry
 (** The dependence graph of the loop under the machine's latency model,
-    built on first request (default memo: {!global}).  Counts a hit or a
+    built afresh; touches no memo. *)
+
+val get : ?memo:t -> Machine.t -> Loop.t -> entry
+(** {!build}, memoised in [memo] (default {!global}).  Counts a hit or a
     miss in telemetry under pass ["deps-memo"]. *)
 
 val deps : ?memo:t -> Machine.t -> Loop.t -> Deps.t

@@ -269,7 +269,7 @@ let over_register_floor machine loop =
 
 let tel name = Telemetry.incr Telemetry.global ~pass:"modulo-sched" name 1
 
-let schedule ?(max_ii = 128) ?memo machine (loop : Loop.t) =
+let schedule ?(max_ii = 128) ?graph machine (loop : Loop.t) =
   tel "attempts";
   if Loop.has_call loop || Loop.has_early_exit loop then None
   else if over_register_floor machine loop then begin
@@ -279,9 +279,11 @@ let schedule ?(max_ii = 128) ?memo machine (loop : Loop.t) =
     None
   end
   else begin
-    (* One shared dependence analysis feeds RecMII, placement heights and
-       the placement loop itself. *)
-    let entry = Deps_memo.get ?memo machine loop in
+    (* One dependence analysis feeds RecMII, placement heights and the
+       placement loop itself. *)
+    let entry =
+      match graph with Some g -> Lazy.force g | None -> Deps_memo.build machine loop
+    in
     let g = entry.Deps_memo.csr in
     let edges = usable_edges entry.Deps_memo.deps in
     let adj = adjacency (Array.length loop.Loop.body) edges in

@@ -12,9 +12,9 @@
     That requirement has a floor that holds at every II and placement: each
     defined value costs at least one rotating register and each invariant
     exactly one.  A loop whose floor already exceeds a rotating file can
-    pass the check at no II, so [schedule] refuses it before building the
-    dependence graph, computing RecMII or trying any II.  On register-heavy
-    unrolled bodies this refusal is the common case.
+    pass the check at no II, so [schedule] refuses it before forcing the
+    dependence graph it was handed, computing RecMII or trying any II.  On
+    register-heavy unrolled bodies this refusal is the common case.
 
     Loops containing calls or early exits are not pipelined (as in ORC);
     [schedule] returns [None] and the caller falls back to list scheduling. *)
@@ -43,14 +43,17 @@ val min_register_requirement : Loop.t -> int * int
     every assignment: per class, the number of ops with a destination plus
     the number of loop invariants. *)
 
-val schedule : ?max_ii:int -> ?memo:Deps_memo.t -> Machine.t -> Loop.t -> Schedule.t option
+val schedule :
+  ?max_ii:int -> ?graph:Deps_memo.entry Lazy.t -> Machine.t -> Loop.t -> Schedule.t option
 (** Pipelines the loop, trying II from MII upwards to [max_ii] (default
     128).  Returns [None] for loops that cannot or should not be pipelined:
     calls or early exits, a {!min_register_requirement} above
     [rot_int_regs] or [rot_fp_regs] (checked first, since no II could
     then fit the rotating files), or no II up to [max_ii] that places and
-    fits.  The dependence graph is built once per call via [memo] (default
-    {!Deps_memo.global}) and shared by RecMII and placement; refused loops
-    never consult it.  Every call bumps [attempts], and every register
+    fits.  [graph] is the loop's dependence graph under the machine's
+    latency model (default: {!Deps_memo.build}), forced once and shared by
+    RecMII and placement; refused loops never force it, so a caller that
+    falls back to {!List_sched} can hand the same lazy graph on and pay
+    for the analysis at most once.  Every call bumps [attempts], and every register
     refusal [refused-regs], under pass ["modulo-sched"] in
     {!Telemetry.global}. *)

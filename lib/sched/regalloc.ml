@@ -88,37 +88,40 @@ let live_intervals (sched : Schedule.t) =
     body;
   lv
 
+(* Peak live values per class of a straight schedule, from its
+   intervals [lv]. *)
+let straight_pressure (sched : Schedule.t) lv =
+  let len = max sched.Schedule.length 1 in
+  (* Difference arrays: each interval contributes +1 at lo and -1 past
+     min hi (len-1); a prefix-sum then yields per-cycle live counts. *)
+  let int_d = Array.make (len + 1) 0 in
+  let fp_d = Array.make (len + 1) 0 in
+  let nregs = Array.length lv.seen in
+  for id = 0 to nregs - 1 do
+    if lv.seen.(id) then begin
+      let lo = lv.lo.(id) and hi = min lv.hi.(id) (len - 1) in
+      if lo <= hi then begin
+        let d = match lv.lcls.(id) with Op.Int -> int_d | Op.Flt -> fp_d in
+        d.(lo) <- d.(lo) + 1;
+        d.(hi + 1) <- d.(hi + 1) - 1
+      end
+    end
+  done;
+  let peak d =
+    let best = ref 0 and cur = ref 0 in
+    for c = 0 to len - 1 do
+      cur := !cur + d.(c);
+      if !cur > !best then best := !cur
+    done;
+    !best
+  in
+  (peak int_d, peak fp_d)
+
 let pressure (sched : Schedule.t) =
   match sched.Schedule.kind with
   | Schedule.Pipelined _ ->
     (sched.Schedule.int_pressure, sched.Schedule.fp_pressure)
-  | Schedule.Straight ->
-    let lv = live_intervals sched in
-    let len = max sched.Schedule.length 1 in
-    (* Difference arrays: each interval contributes +1 at lo and -1 past
-       min hi (len-1); a prefix-sum then yields per-cycle live counts. *)
-    let int_d = Array.make (len + 1) 0 in
-    let fp_d = Array.make (len + 1) 0 in
-    let nregs = Array.length lv.seen in
-    for id = 0 to nregs - 1 do
-      if lv.seen.(id) then begin
-        let lo = lv.lo.(id) and hi = min lv.hi.(id) (len - 1) in
-        if lo <= hi then begin
-          let d = match lv.lcls.(id) with Op.Int -> int_d | Op.Flt -> fp_d in
-          d.(lo) <- d.(lo) + 1;
-          d.(hi + 1) <- d.(hi + 1) - 1
-        end
-      end
-    done;
-    let peak d =
-      let best = ref 0 and cur = ref 0 in
-      for c = 0 to len - 1 do
-        cur := !cur + d.(c);
-        if !cur > !best then best := !cur
-      done;
-      !best
-    in
-    (peak int_d, peak fp_d)
+  | Schedule.Straight -> straight_pressure sched (live_intervals sched)
 
 let spill_array_name = "$spill"
 
@@ -204,14 +207,14 @@ let allocate_from ?(max_rounds = 6) ~sched (first : Schedule.t) =
     match s.Schedule.kind with
     | Schedule.Pipelined _ -> { s with Schedule.spills }
     | Schedule.Straight ->
-      let int_p, fp_p = pressure s in
+      let lv = live_intervals s in
+      let int_p, fp_p = straight_pressure s lv in
       let int_max, fp_max = machine_limits s in
       let over_int = int_p > int_max and over_fp = fp_p > fp_max in
       if (not (over_int || over_fp)) || round >= max_rounds then
         { s with Schedule.spills; int_pressure = int_p; fp_pressure = fp_p }
       else begin
         let cls = if over_fp then Op.Flt else Op.Int in
-        let lv = live_intervals s in
         (* Widest-live-range value of the over-subscribed class, excluding
            carried values, invariants and values already reloaded from the
            spill area.  Ascending-id scan keeps the lowest id among equal

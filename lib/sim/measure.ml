@@ -20,14 +20,18 @@ let sweep ?(noise = 0.015) ?(runs = 30) ?max_sim_iters ?(cache = Compile_cache.g
       let key = Compile_cache.key ~machine ~swp ~factor:u loop in
       let exact =
         (* Simulation is deterministic given the loop content, factor and
-           machine, so the warm steady-state cycle count can be memoised
-           alongside the compiled executable; measurement noise is applied
-           after the lookup, from the caller's RNG, so warm and cold runs
-           observe identical distributions. *)
+           machine, so the warm steady-state cycle count is memoised;
+           measurement noise is applied after the lookup, from the caller's
+           RNG, so warm and cold runs observe identical distributions.  The
+           executable is not: a repeat is answered by the cycles memo
+           before it could be read, so it dies with this factor. *)
         match Compile_cache.find_cycles cache key ~max_sim_iters with
         | Some cycles -> cycles
         | None ->
-          let exe = Simulator.compile ~cache machine ~swp loop u in
+          let exe =
+            Pipeline_state.executable_exn
+              (Pipeline.run (Pipeline_state.init machine ~swp loop u))
+          in
           let state = Simulator.create_state machine in
           (* Warm-up run: the paper measures loops inside live processes, so
              steady-state measurements see warm caches. *)

@@ -29,9 +29,12 @@ val sweep :
     1.  Each factor is a separate program run: caches start cold, a warm-up
     execution primes them, and the measured runs see the steady state.
 
-    Compiled executables and warm cycle counts are memoised in [cache]
-    (default {!Compile_cache.global}); noise is drawn from [rng] after the
-    lookup, so a warm sweep returns results identical to a cold one. *)
+    Warm cycle counts are memoised in [cache] (default
+    {!Compile_cache.global}); noise is drawn from [rng] after the lookup,
+    so a warm sweep returns results identical to a cold one.  Executables
+    are compiled through {!Pipeline.run} and dropped after measurement:
+    one sweep looks each up exactly once, in [cache]'s cycles table, and
+    stores nothing else. *)
 
 val min_cycles_filter : int
 (** Loops measured below this many cycles are too noisy to label (the

@@ -295,6 +295,97 @@ let prop_floor_refusal_sound =
            s.Schedule.int_pressure > m.Machine.rot_int_regs
            || s.Schedule.fp_pressure > m.Machine.rot_fp_regs)
 
+(* --- First fit without probing --- *)
+
+(* The list scheduler as it was before skip pointers: same priorities, but
+   each op probes cycle by cycle from its earliest start until its unit is
+   free for its whole occupancy and the issue cycle has spare width. *)
+let linear_probe_assignment m (l : Loop.t) =
+  let body = l.Loop.body in
+  let n = Array.length body in
+  let edges =
+    List.filter
+      (fun (e : Deps.edge) -> e.Deps.distance = 0)
+      (Deps_memo.build m l).Deps_memo.deps.Deps.edges
+  in
+  let height = Array.make n 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (e : Deps.edge) ->
+        let h = height.(e.Deps.dst) + e.Deps.latency in
+        if h > height.(e.Deps.src) then begin
+          height.(e.Deps.src) <- h;
+          changed := true
+        end)
+      edges
+  done;
+  let preds = Array.make n 0 in
+  List.iter (fun (e : Deps.edge) -> preds.(e.Deps.dst) <- preds.(e.Deps.dst) + 1) edges;
+  let used = Hashtbl.create 64 in
+  let get c slot = Option.value ~default:0 (Hashtbl.find_opt used (c, slot)) in
+  let bump c slot = Hashtbl.replace used (c, slot) (get c slot + 1) in
+  let slot op =
+    match Machine.unit_of op with Machine.M -> 0 | Machine.I -> 1 | Machine.F -> 2 | Machine.B -> 3
+  in
+  let avail = [| m.Machine.m_units; m.Machine.i_units; m.Machine.f_units; m.Machine.b_units |] in
+  let occ (op : Op.t) =
+    match op.Op.opcode with
+    | Op.Fdiv when m.Machine.fdiv_unpipelined -> m.Machine.lat_fdiv
+    | _ -> 1
+  in
+  let fits op c =
+    get c 4 < m.Machine.issue_width
+    && List.for_all (fun d -> get (c + d) (slot op) < avail.(slot op)) (List.init (occ op) Fun.id)
+  in
+  let earliest = Array.make n 0 and time = Array.make n (-1) in
+  let ready = ref (List.filter (fun v -> preds.(v) = 0) (List.init n Fun.id)) in
+  for _ = 1 to n do
+    let v =
+      List.fold_left
+        (fun b u -> if height.(u) > height.(b) || (height.(u) = height.(b) && u < b) then u else b)
+        (List.hd !ready) !ready
+    in
+    ready := List.filter (( <> ) v) !ready;
+    let c = ref earliest.(v) in
+    while not (fits body.(v) !c) do incr c done;
+    List.iter (fun d -> bump (!c + d) (slot body.(v))) (List.init (occ body.(v)) Fun.id);
+    bump !c 4;
+    time.(v) <- !c;
+    List.iter
+      (fun (e : Deps.edge) ->
+        if e.Deps.src = v then begin
+          let d = e.Deps.dst in
+          earliest.(d) <- max earliest.(d) (!c + e.Deps.latency);
+          preds.(d) <- preds.(d) - 1;
+          if preds.(d) = 0 then ready := d :: !ready
+        end)
+      edges
+  done;
+  time
+
+let prop_list_sched_first_fit =
+  QCheck.Test.make ~count:200 ~name:"list schedule = linear-probe first fit"
+    (QCheck.make ~print:print_floor_case floor_gen)
+    (fun (m, l, _, _) -> (List_sched.schedule m l).Schedule.assignment = linear_probe_assignment m l)
+
+let test_list_sched_first_fit_kernels () =
+  (* Every kernel, including the divides that block itanium2's unpipelined
+     FP unit for 24 cycles. *)
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (name, loop) ->
+          List.iter
+            (fun f ->
+              let k = (Unroll.run loop f).Unroll.kernel in
+              if (List_sched.schedule m k).Schedule.assignment <> linear_probe_assignment m k then
+                Alcotest.failf "%s x%d on %s" name f m.Machine.mach_name)
+            [ 1; 3; 8 ])
+        kernels_for_test)
+    Machine.all
+
 let test_floor_refusal_counted () =
   let m = Machine.embedded2 in
   let l = (Unroll.run (Kernels.fir8 ~name:"m_floor" ~trip:64) 8).Unroll.kernel in
@@ -332,4 +423,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_register_floor;
     QCheck_alcotest.to_alcotest prop_floor_refusal_sound;
     ("modulo floor refusal counted", `Quick, test_floor_refusal_counted);
+    QCheck_alcotest.to_alcotest prop_list_sched_first_fit;
+    ("list sched first fit on kernels", `Quick, test_list_sched_first_fit_kernels);
   ]
