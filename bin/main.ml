@@ -29,7 +29,7 @@ let config_of ~fast ~scale ~seed ~machine ~runs ~noise ~jobs =
 
 (* Shared flags *)
 let fast_flag =
-  Arg.(value & flag & info [ "fast" ] ~doc:"Use the reduced configuration (same as FAST=1).")
+  Arg.(value & flag & info [ "fast" ] ~doc:"Use the reduced configuration (about 15% scale, fewer measurement repeats).")
 
 let scale_opt =
   Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"S" ~doc:"Workload scale multiplier.")
@@ -142,11 +142,11 @@ let dataset_cmd =
 (* experiment *)
 let experiment_cmd =
   let which =
-    let all = [ "fig1"; "fig2"; "fig3"; "table2"; "table3"; "table4"; "fig4"; "fig5"; "joint"; "summary"; "ablations"; "all" ] in
+    let all = [ "fig1"; "fig2"; "fig3"; "table2"; "table3"; "table4"; "fig4"; "fig5"; "joint"; "summary"; "ablations"; "timing"; "all" ] in
     Arg.(
       required
       & pos 0 (some (enum (List.map (fun s -> (s, s)) all))) None
-      & info [] ~docv:"EXPERIMENT" ~doc:"One of fig1 fig2 fig3 table2 table3 table4 fig4 fig5 joint summary ablations all.")
+      & info [] ~docv:"EXPERIMENT" ~doc:"One of fig1 fig2 fig3 table2 table3 table4 fig4 fig5 joint summary ablations timing all.")
   in
   let run config which telemetry =
     with_telemetry telemetry (fun () ->
@@ -164,6 +164,7 @@ let experiment_cmd =
           | "joint" -> Experiments.joint env
           | "summary" -> Experiments.summary env
           | "ablations" -> Experiments.ablations env
+          | "timing" -> Experiments.timing env
           | _ -> Experiments.all env
         in
         print_string out)

@@ -47,16 +47,3 @@ let fast =
     max_sim_iters = 200;
     fig4_svm_cap = 400;
   }
-
-let of_env () =
-  let base =
-    match Sys.getenv_opt "FAST" with
-    | Some v when v <> "" && v <> "0" -> fast
-    | Some _ | None -> default
-  in
-  match Sys.getenv_opt "JOBS" with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some j when j >= 1 -> { base with jobs = j }
-    | Some _ | None -> base)
-  | None -> base

@@ -36,8 +36,3 @@ val default : t
 val fast : t
 (** Reduced configuration for tests and quick runs (~15% scale, fewer
     measurement repeats). *)
-
-val of_env : unit -> t
-(** [default], or [fast] when the environment variable [FAST] is set to a
-    non-empty value other than ["0"].  The [JOBS] environment variable, if
-    a positive integer, overrides [jobs]. *)

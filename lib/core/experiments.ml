@@ -792,6 +792,80 @@ let ablations env =
   end;
   Buffer.contents buf
 
+(* ------------------------------------------------------------------ *)
+(* §5 timings                                                          *)
+
+(* Mean wall seconds per call of [f], repeated until [budget] seconds
+   have passed (at least once). *)
+let mean_seconds ~budget f =
+  let t0 = Unix.gettimeofday () in
+  let rec go n =
+    f ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= budget then dt /. float_of_int n else go (n + 1)
+  in
+  go 1
+
+let paper_timing =
+  [ ("nn", "lookup < 5 ms over 2,500 examples"); ("svm", "training ~30 s (Matlab, 2,500 examples)") ]
+
+let timing env =
+  let config = env.config in
+  let ds = env.dataset_off in
+  let t =
+    Table.create ~title:"Section 5 timings: training and per-query cost"
+      [
+        ("Step", Table.Left);
+        ("N", Table.Right);
+        ("fit", Table.Right);
+        ("per call", Table.Right);
+        ("Paper", Table.Left);
+      ]
+  in
+  List.iter
+    (fun l ->
+      let (module L : Learner.LEARNER) = l in
+      let n =
+        Dataset.size
+          (match L.fit_cap config with Some cap -> Dataset.subsample ~cap ds | None -> ds)
+      in
+      let fit () = Learner.fit ~jobs:config.Config.jobs l config ~features:env.selected ds in
+      let scaler, model = fit () in
+      let fit_s = mean_seconds ~budget:0.5 (fun () -> ignore (fit ())) in
+      let points = Dataset.points (Scale.apply scaler (Dataset.select_features ds env.selected)) in
+      let classify_s =
+        mean_seconds ~budget:0.25 (fun () ->
+            Array.iter (fun (x, _) -> ignore (Learner.classify model x)) points)
+        /. float_of_int (Array.length points)
+      in
+      Table.add_row t
+        [
+          upper_name l;
+          string_of_int n;
+          Table.cell_seconds fit_s;
+          Table.cell_seconds classify_s;
+          Option.value ~default:"n/a" (List.assoc_opt (Learner.name l) paper_timing);
+        ])
+    Learner.all;
+  (* Cold extraction: every pass starts from an empty dependence-graph
+     memo, as a compiler meeting each loop once would. *)
+  let loops = Suite.all_loops env.benchmarks |> List.map snd in
+  let extract_s =
+    mean_seconds ~budget:0.25 (fun () ->
+        Deps_memo.clear Deps_memo.global;
+        List.iter (fun loop -> ignore (Features.extract config.Config.machine loop)) loops)
+    /. float_of_int (List.length loops)
+  in
+  Table.add_row t
+    [
+      "feature extraction (per loop)";
+      string_of_int (List.length loops);
+      "-";
+      Table.cell_seconds extract_s;
+      "n/a";
+    ];
+  Table.to_string t
+
 let all env =
   String.concat "\n"
     [
@@ -806,4 +880,5 @@ let all env =
       joint env;
       summary env;
       ablations env;
+      timing env;
     ]

@@ -98,5 +98,14 @@ val ablations : env -> string
       decision-tree accuracy vs the always-unroll baseline the paper
       derives from Figure 3. *)
 
+val timing : env -> string
+(** §5's timing claims: for every {!Learner}, the number of examples
+    {!Learner.fit} trains on after its [fit_cap], the wall time of that
+    fit on [dataset_off] restricted to [selected], and the mean
+    {!Learner.classify} time per scaled point; then the mean cold
+    {!Features.extract} time per suite loop.  The paper's claim sits
+    beside each row.  Wall-clock figures, so not deterministic. *)
+
 val all : env -> string
-(** Every experiment, concatenated in paper order (ablations last). *)
+(** Every experiment, concatenated in paper order (ablations, then
+    {!timing}, last). *)

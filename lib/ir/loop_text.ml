@@ -253,6 +253,14 @@ let parse_op_line st tokens =
 
 let align64 n = (n + 63) land lnot 63
 
+let int_token what n =
+  match int_of_string_opt n with Some v -> v | None -> fail "bad %s '%s' (expected an integer)" what n
+
+let positive_token what n =
+  let v = int_token what n in
+  if v <= 0 then fail "bad %s '%s' (expected a positive integer)" what n;
+  v
+
 let parse_line st tokens =
   match tokens with
   | [] -> ()
@@ -262,22 +270,30 @@ let parse_line st tokens =
     | Some lang -> st.lang <- lang
     | None -> fail "unknown language '%s'" l
   end
-  | "trip" :: [ n ] -> st.trip <- Some (int_of_string n)
+  | "trip" :: [ n ] -> st.trip <- Some (int_token "trip" n)
   | "trip_static" :: [ "unknown" ] -> st.trip_static <- `Unknown
-  | "trip_static" :: [ n ] -> st.trip_static <- `Known (int_of_string n)
-  | "nest" :: [ n ] -> st.nest <- int_of_string n
-  | "outer" :: [ n ] -> st.outer <- int_of_string n
-  | "aliased" :: [ b ] -> st.aliased <- Some (bool_of_string b)
-  | "exit_prob" :: [ p ] -> st.exit_prob <- float_of_string p
+  | "trip_static" :: [ n ] -> st.trip_static <- `Known (int_token "trip_static" n)
+  | "nest" :: [ n ] -> st.nest <- int_token "nest" n
+  | "outer" :: [ n ] -> st.outer <- int_token "outer" n
+  | "aliased" :: [ b ] -> begin
+    match bool_of_string_opt b with
+    | Some b -> st.aliased <- Some b
+    | None -> fail "bad aliased '%s' (expected true or false)" b
+  end
+  | "exit_prob" :: [ p ] -> begin
+    match float_of_string_opt p with
+    | Some p -> st.exit_prob <- p
+    | None -> fail "bad exit_prob '%s' (expected a number)" p
+  end
   | "array" :: name :: len :: rest ->
     let elem =
       match rest with
       | [] -> 8
       | [ e ] when String.length e > 5 && String.sub e 0 5 = "elem=" ->
-        int_of_string (String.sub e 5 (String.length e - 5))
+        positive_token "array element size" (String.sub e 5 (String.length e - 5))
       | _ -> fail "bad array declaration"
     in
-    let length = int_of_string len in
+    let length = positive_token "array length" len in
     let base = align64 st.next_addr in
     st.next_addr <- base + (elem * length);
     st.arrays <- (name, { Loop.aname = name; elem_size = elem; length; base }) :: st.arrays

@@ -1,7 +1,7 @@
 (* Reference simulator: a line-for-line copy of the original
    (pre-fast-path) implementation.  It is the oracle the property tests
-   compare [Simulator] against bit-for-bit, and the naive baseline
-   [bench/bench_sim.ml] times the fast path against.  Keep it dumb: no
+   compare [Simulator] against bit-for-bit, on random loops and on every
+   executable of the FAST labelling sweep.  Keep it dumb: no
    memoised dependence graphs, no fast-forwarding, per-iteration fetch
    probing — any change here weakens the equivalence evidence. *)
 

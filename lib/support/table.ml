@@ -73,6 +73,12 @@ let cell_float ?(decimals = 3) v = Printf.sprintf "%.*f" decimals v
 
 let cell_pct ?(decimals = 1) v = Printf.sprintf "%.*f%%" decimals (v *. 100.0)
 
+let cell_seconds s =
+  if s >= 1.0 then Printf.sprintf "%.2f s" s
+  else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1e3)
+  else if s >= 1e-6 then Printf.sprintf "%.2f us" (s *. 1e6)
+  else Printf.sprintf "%.0f ns" (s *. 1e9)
+
 let bar ~width v =
   let v = Float.max 0.0 (Float.min 1.0 v) in
   let n = int_of_float (Float.round (v *. float_of_int width)) in

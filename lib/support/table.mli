@@ -32,6 +32,10 @@ val cell_pct : ?decimals:int -> float -> string
 (** Formats a ratio as a percentage string, e.g. [cell_pct 0.051 = "5.1%"]
     (default 1 decimal). *)
 
+val cell_seconds : float -> string
+(** Formats a duration in seconds with a unit that keeps it readable,
+    e.g. ["1.25 s"], ["3.40 ms"], ["12.00 us"], ["800 ns"]. *)
+
 val bar : width:int -> float -> string
 (** [bar ~width v] renders a proportion [v] in \[0, 1\] as a horizontal bar
     of at most [width] characters — used for ASCII histograms. *)

@@ -64,12 +64,6 @@ let reset t =
       Hashtbl.reset t.entries;
       t.order <- [])
 
-let pretty_time s =
-  if s >= 1.0 then Printf.sprintf "%.2f s" s
-  else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1e3)
-  else if s >= 1e-6 then Printf.sprintf "%.2f us" (s *. 1e6)
-  else Printf.sprintf "%.0f ns" (s *. 1e9)
-
 let to_table t =
   locked t (fun () ->
       let tbl =
@@ -94,8 +88,8 @@ let to_table t =
             [
               pass;
               string_of_int e.calls;
-              pretty_time e.seconds;
-              (if e.calls > 0 then pretty_time (e.seconds /. float_of_int e.calls) else "-");
+              Table.cell_seconds e.seconds;
+              (if e.calls > 0 then Table.cell_seconds (e.seconds /. float_of_int e.calls) else "-");
               counters;
             ])
         (List.rev t.order);

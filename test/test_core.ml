@@ -245,11 +245,8 @@ let test_experiments_end_to_end () =
       ("fig5", Experiments.fig5 env);
       ("summary", Experiments.summary env);
       ("ablations", Experiments.ablations env);
+      ("timing", Experiments.timing env);
     ]
-
-let test_config_of_env () =
-  Alcotest.(check bool) "default when unset" true (Config.of_env () = Config.default || Sys.getenv_opt "FAST" <> None)
-
 
 (* --- retargeting sanity: different machines, different labels --- *)
 
@@ -558,7 +555,6 @@ let suite =
     ("compiler oracle dominates", `Slow, test_compiler_speedup_oracle_dominates);
     ("compiler compile runs", `Quick, test_compiler_compile_runs);
     ("experiments end to end", `Slow, test_experiments_end_to_end);
-    ("config of_env", `Quick, test_config_of_env);
     ("joint encode/decode", `Quick, test_joint_encode_decode_roundtrip);
     ("joint merge layout", `Slow, test_joint_merge_layout);
     ("joint dataset argmin labels", `Slow, test_joint_dataset_labels_are_argmin);

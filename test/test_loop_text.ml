@@ -157,7 +157,16 @@ let test_parse_errors () =
   expect_error "unknown opcode" "loop l {\n trip 4\n reg f a\n f v = frobnicate a\n}";
   expect_error "unterminated" "loop l {\n trip 4";
   expect_error "bad bracket" "loop l {\n trip 4\n array a 8 elem=8\n f v = load a [oops]\n}";
-  expect_error "double declaration" "loop l {\n trip 4\n reg f a\n reg f a\n}"
+  expect_error "double declaration" "loop l {\n trip 4\n reg f a\n reg f a\n}";
+  (* Malformed numbers and booleans are parse errors, not exceptions. *)
+  expect_error "bad trip" "loop l {\n trip abc\n}";
+  expect_error "bad nest" "loop l {\n trip 4\n nest x\n}";
+  expect_error "bad exit_prob" "loop l {\n trip 4\n exit_prob x\n}";
+  expect_error "bad aliased" "loop l {\n trip 4\n aliased maybe\n}";
+  expect_error "bad array length" "loop l {\n trip 4\n array a n\n}";
+  expect_error "bad element size" "loop l {\n trip 4\n array a 8 elem=z\n}";
+  expect_error "negative array length" "loop l {\n trip 4\n array a -5\n}";
+  expect_error "zero element size" "loop l {\n trip 4\n array a 8 elem=0\n}"
 
 let test_error_carries_line () =
   match Loop_text.parse "loop l {\n trip 4\n f v = mov nosuch\n}" with

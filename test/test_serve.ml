@@ -252,7 +252,15 @@ let kernel_loops () = List.map (fun (name, maker) -> maker ~name ~trip:256) Kern
 (* --- multi-client bit-identity -------------------------------------------- *)
 
 let test_multi_client_bit_identical () =
-  let loops = kernel_loops () in
+  (* Kernels plus structured adversarial loops: remainder-edge trips,
+     recurrences, alias traffic, indirect references. *)
+  let loops =
+    kernel_loops ()
+    @ List.init 64 (fun i ->
+          Fuzz_gen.loop (Rng.derive 2005 "serve" i) Fuzz_gen.default ~id:i
+            ~factor:(1 + (i mod Unroll.max_factor))
+            ~name:(Printf.sprintf "fz%d" i))
+  in
   let expected = local_expected "golden_nn.artifact" loops in
   let _t, th, addr = start_server () in
   let n_clients = 6 in

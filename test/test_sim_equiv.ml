@@ -133,6 +133,47 @@ let test_labels_unchanged_by_fast_paths () =
       Alcotest.(check int) (loop.Loop.name ^ " best factor") (argmin reference) (argmin fast))
     loops
 
+(* --- the whole FAST suite ----------------------------------------------- *)
+
+let test_fast_suite_bit_identical () =
+  (* Every executable the FAST labelling sweep runs — each suite loop at
+     factors 1..8 with SWP off and on — gives the same cycles and stats
+     on both simulators, cold and warm.  Loops stream through one at a
+     time (their 16 executables are dropped before the next loop), fanned
+     out over [Parallel]; the failure names the first differing
+     (loop, factor, swp) in suite order. *)
+  let config = Config.fast in
+  let iters = config.Config.max_sim_iters in
+  let loops =
+    Suite.all_loops (Suite.full ~scale:config.Config.scale ~seed:config.Config.seed)
+    |> List.map snd |> Array.of_list
+  in
+  let first_mismatch loop =
+    List.find_map
+      (fun (swp, u) ->
+        let exe =
+          Pipeline_state.executable_exn
+            (Pipeline.run (Pipeline_state.init machine ~swp loop u))
+        in
+        if naive_pair exe iters = fast_pair exe iters then None else Some (u, swp))
+      (List.concat_map (fun swp -> List.init Unroll.max_factor (fun i -> (swp, i + 1))) [ false; true ])
+  in
+  Alcotest.(check int) "executables" 8304 (Array.length loops * 2 * Unroll.max_factor);
+  (* No wider than the host: compiling allocates heavily, and every
+     stop-the-world collection waits on each domain, so domains beyond
+     the core count slow it down (4 domains on a 2-vCPU host ran this
+     case 3x slower than 2). *)
+  let jobs = min (Parallel.default_jobs ()) (Domain.recommended_domain_count ()) in
+  let mismatches = Parallel.map ~jobs first_mismatch loops in
+  Array.iteri
+    (fun i m ->
+      Option.iter
+        (fun (u, swp) ->
+          Alcotest.failf "%s u=%d swp=%b: Simulator differs from Sim_reference"
+            loops.(i).Loop.name u swp)
+        m)
+    mismatches
+
 (* --- RecMII upper bound ------------------------------------------------- *)
 
 let test_rec_mii_bracketed_by_graph_bound () =
@@ -183,4 +224,5 @@ let suite =
     ("labels unchanged by fast paths", `Slow, test_labels_unchanged_by_fast_paths);
     ("RecMII within graph-derived bound", `Quick, test_rec_mii_bracketed_by_graph_bound);
     ("RecMII of a long carried recurrence", `Quick, test_rec_mii_long_recurrence);
+    ("FAST suite bit-identical to Sim_reference", `Slow, test_fast_suite_bit_identical);
   ]
