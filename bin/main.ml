@@ -7,6 +7,12 @@
 
 open Cmdliner
 
+(* [-j]: 0 = the default width, absent = [default]. *)
+let jobs_of ~default = function
+  | Some 0 -> Parallel.default_jobs ()
+  | Some j -> max 1 j
+  | None -> max 1 default
+
 let config_of ~fast ~scale ~seed ~machine ~runs ~noise ~jobs =
   let base = if fast then Config.fast else Config.default in
   let machine =
@@ -24,7 +30,7 @@ let config_of ~fast ~scale ~seed ~machine ~runs ~noise ~jobs =
     machine;
     runs = Option.value runs ~default:base.Config.runs;
     noise = Option.value noise ~default:base.Config.noise;
-    jobs = max 1 (match jobs with Some 0 -> Parallel.default_jobs () | Some j -> j | None -> base.Config.jobs);
+    jobs = jobs_of ~default:base.Config.jobs jobs;
   }
 
 (* Shared flags *)
@@ -71,7 +77,7 @@ let config_term =
 
 (* Rates derived from the raw counters — the table above only shows the
    absolute counts.  A section is omitted when its denominator is zero
-   (e.g. no simulation ran, or the dependence-graph memo was disabled). *)
+   (e.g. no simulation ran). *)
 let rate_summary t =
   let c pass name = Telemetry.counter t ~pass name in
   let buf = Buffer.create 256 in
@@ -314,9 +320,7 @@ let fuzz_cmd =
   in
   let run seed budget corpus jobs telemetry =
     with_telemetry telemetry @@ fun () ->
-    let jobs =
-      max 1 (match jobs with Some 0 -> Parallel.default_jobs () | Some j -> j | None -> 1)
-    in
+    let jobs = jobs_of ~default:1 jobs in
     let replay_violations =
       match Fuzz.Driver.load_corpus corpus with
       | Error e ->

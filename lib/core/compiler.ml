@@ -50,7 +50,7 @@ let speedup_rows ?(jobs = 1) (config : Config.t) ~features ~benchmarks ~dataset 
      they fan out over [jobs] worker domains; rows come back in benchmark
      order.  Within a row the learners' trainings are themselves
      independent, so when the scheduler has room they run as a nested
-     batch — idle workers steal one instead of waiting out the row. *)
+     batch — idle workers take one instead of waiting out the row. *)
   Parallel.map ~jobs
     (fun (b : Suite.benchmark) ->
       let train = Dataset.without_group dataset b.Suite.bname in

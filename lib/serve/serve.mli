@@ -8,7 +8,7 @@
     domain coalesces whatever arrives within a bounded window (capped at
     [batch_cap]) into a single {!Predict_service.predict_batch} call —
     concurrent load therefore hits the blocked matrix kernels, fanned over
-    the {!Parallel} work-stealing pool, instead of the scalar path.  The
+    the {!Parallel} domain pool, instead of the scalar path.  The
     batching is adaptive: a full queue fires immediately, a lone request
     fires as soon as the arrival stream pauses, so light load pays
     microseconds of window, not the whole thing.

@@ -1,119 +1,33 @@
-(* Work-stealing runtime: a persistent domain pool executing batches of
-   index-addressed tasks through per-participant Chase–Lev deques.
+(* A persistent domain pool executing batches of index-addressed tasks.
 
-   A batch (one [map]/[tabulate]/[iter]/[fork_join] call) splits its index
-   space into [jobs] contiguous chunks, seeds one deque per chunk, and
-   publishes itself to the pool.  The caller works slot 0; idle pool
-   workers claim the remaining slots.  Every participant drains its own
-   deque from the bottom (LIFO, cache-warm) and, once empty, steals from
-   the other slots' tops (FIFO, so thieves take the oldest — largest-
-   remaining — end of a chunk).  Deques are seeded before the batch is
-   published and never refill, so "every deque empty" is a stable
-   observation that lets helpers leave and the batch retire; completion is
-   a per-batch [pending] counter the caller waits on.
+   A batch (one [map]/[tabulate]/[iter] call) is its task count, a task
+   runner and one shared counter: every participant claims the next index
+   with a fetch-and-add until the counter passes [n].  The caller publishes
+   the batch, then takes part in it; idle pool workers join any published
+   batch whose counter has not yet passed [n].  Tasks are claimed one at a
+   time, so heavy-tailed task costs balance without any per-participant
+   queues.  Completion is a per-batch [pending] counter: each participant
+   flushes its counters, then lowers [pending] by the tasks it ran, and the
+   caller waits for zero.
 
    Determinism needs no cooperation from the scheduler: tasks write
    results to their input index, and reductions (including the
    first-exception rule) read the results array back in input order. *)
 
-(* ------------------------------------------------------------------ *)
-(* Chase–Lev deque (Chase & Lev, SPAA'05; Lê et al., PPoPP'13).
-
-   Owner pushes/pops at [bottom]; thieves compete for [top] with a CAS.
-   OCaml [Atomic] operations are sequentially consistent, which covers
-   the fences of the reference C11 implementation.  Slots hold ['a option]
-   so there is a well-typed empty value; a slot is only cleared by the
-   owner after it is ours, and a thief only dereferences a slot after
-   winning the CAS on [top], so [Option.get] cannot observe [None]. *)
-
-module Deque = struct
-  type 'a t = {
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-    tab : 'a option array; (* capacity fixed at creation: batches seed once *)
-  }
-
-  type 'a steal_result = Stolen of 'a | Empty | Retry
-
-  let rec pow2 n k = if k >= n then k else pow2 n (2 * k)
-
-  let create ~capacity =
-    {
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-      tab = Array.make (pow2 (max capacity 1) 1) None;
-    }
-
-  (* Owner only, and only before the deque is visible to thieves. *)
-  let push q v =
-    let b = Atomic.get q.bottom in
-    let mask = Array.length q.tab - 1 in
-    if b - Atomic.get q.top > mask then invalid_arg "Deque.push: full";
-    q.tab.(b land mask) <- Some v;
-    Atomic.set q.bottom (b + 1)
-
-  (* Owner only. *)
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      (* empty: restore bottom *)
-      Atomic.set q.bottom t;
-      None
-    end
-    else begin
-      let mask = Array.length q.tab - 1 in
-      let v = q.tab.(b land mask) in
-      if b > t then begin
-        q.tab.(b land mask) <- None;
-        v
-      end
-      else begin
-        (* last element: race thieves for it through [top] *)
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then begin
-          q.tab.(b land mask) <- None;
-          v
-        end
-        else None
-      end
-    end
-
-  (* Any domain. *)
-  let steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if t >= b then Empty
-    else begin
-      let v = q.tab.(t land (Array.length q.tab - 1)) in
-      if Atomic.compare_and_set q.top t (t + 1) then
-        match v with Some x -> Stolen x | None -> assert false
-      else Retry
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-(* The persistent pool. *)
-
 type batch = {
-  deques : int Deque.t array; (* one per slot; slot 0 is the caller *)
+  n : int;
   run : int -> unit; (* executes task [i]; must not raise *)
-  pending : int Atomic.t; (* tasks not yet completed *)
-  active : int Atomic.t; (* participants that joined and have not left *)
-  mutable free_slots : int list; (* claimable helper slots; under pool lock *)
-  mutable live : bool; (* still accepting helpers; under pool lock *)
+  next : int Atomic.t; (* next unclaimed index *)
+  pending : int Atomic.t; (* tasks not yet run and accounted for *)
   finished : Mutex.t;
-  finished_cond : Condition.t; (* signalled on [pending]/[active] edges *)
+  finished_cond : Condition.t; (* signalled when [pending] reaches 0 *)
 }
 
 type pool = {
   lock : Mutex.t;
   work_available : Condition.t;
-  mutable batches : batch list; (* FIFO: older batches get help first *)
+  mutable batches : batch list; (* published, oldest first *)
   mutable workers : unit Domain.t list;
-  mutable n_workers : int;
   mutable shutdown : bool;
 }
 
@@ -123,150 +37,78 @@ let pool =
     work_available = Condition.create ();
     batches = [];
     workers = [];
-    n_workers = 0;
     shutdown = false;
   }
-
-(* The runtime caps live domains at 128; leave headroom for the main
-   domain and anything else the process spawns. *)
-let max_workers = 120
 
 (* 0 = the main (or any external) domain; pool workers are 1..N. *)
 let domain_id_key = Domain.DLS.new_key (fun () -> 0)
 
-let flush_counters ~tasks ~steals ~misses =
-  if tasks > 0 || steals > 0 || misses > 0 then begin
+(* Claim and run tasks of [b] until its counter passes [n]; then flush this
+   participant's counters and account for its tasks.  The flush comes
+   first, so by the time the caller sees [pending] = 0 every participant's
+   counters are visible. *)
+let participate b =
+  let rec go ran =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.run i;
+      go (ran + 1)
+    end
+    else ran
+  in
+  let ran = go 0 in
+  if ran > 0 then begin
     let t = Telemetry.global in
-    if tasks > 0 then Telemetry.incr t ~pass:"parallel" "tasks" tasks;
-    if steals > 0 then Telemetry.incr t ~pass:"parallel" "steals" steals;
-    if misses > 0 then Telemetry.incr t ~pass:"parallel" "steal-misses" misses;
-    if tasks > 0 then
-      Telemetry.incr t ~pass:"parallel.domains"
-        (Printf.sprintf "d%d" (Domain.DLS.get domain_id_key))
-        tasks
-  end
-
-let exec b i =
-  b.run i;
-  if Atomic.fetch_and_add b.pending (-1) = 1 then begin
-    Mutex.lock b.finished;
-    Condition.signal b.finished_cond;
-    Mutex.unlock b.finished
-  end
-
-(* Stop accepting helpers and drop off the pool's list.  Idempotent. *)
-let retire b =
-  Mutex.lock pool.lock;
-  if b.live then begin
-    b.live <- false;
-    pool.batches <- List.filter (fun x -> x != b) pool.batches
-  end;
-  Mutex.unlock pool.lock
-
-(* Work batch [b] from [slot] until every deque is empty.  Deques never
-   refill, so that observation is stable; tasks still in flight on other
-   participants are the caller's wait, not ours. *)
-let participate b ~slot =
-  let k = Array.length b.deques in
-  let tasks = ref 0 and steals = ref 0 and misses = ref 0 in
-  let rec drain_own () =
-    match Deque.pop b.deques.(slot) with
-    | Some i ->
-      exec b i;
-      incr tasks;
-      drain_own ()
-    | None -> steal_loop ()
-  and steal_loop () =
-    let all_empty = ref true in
-    let stolen = ref (-1) in
-    let v = ref 1 in
-    while !stolen < 0 && !v < k do
-      (match Deque.steal b.deques.((slot + !v) mod k) with
-      | Deque.Stolen i ->
-        stolen := i;
-        incr steals
-      | Deque.Empty -> ()
-      | Deque.Retry ->
-        all_empty := false;
-        incr misses);
-      incr v
-    done;
-    if !stolen >= 0 then begin
-      exec b !stolen;
-      incr tasks;
-      (* our own deque cannot refill: straight back to stealing *)
-      steal_loop ()
+    Telemetry.incr t ~pass:"parallel" "tasks" ran;
+    Telemetry.incr t ~pass:"parallel.domains"
+      (Printf.sprintf "d%d" (Domain.DLS.get domain_id_key))
+      ran;
+    if Atomic.fetch_and_add b.pending (-ran) = ran then begin
+      Mutex.lock b.finished;
+      Condition.signal b.finished_cond;
+      Mutex.unlock b.finished
     end
-    else if not !all_empty then begin
-      (* lost a race: someone took work, more may remain *)
-      Domain.cpu_relax ();
-      steal_loop ()
-    end
-  in
-  drain_own ();
-  retire b;
-  flush_counters ~tasks:!tasks ~steals:!steals ~misses:!misses;
-  (* Leave only after flushing, and wake the caller: [run_batch] waits for
-     [active] to reach 0 as well as [pending], so by the time a parallel
-     call returns every participant's scheduler counters are visible. *)
-  ignore (Atomic.fetch_and_add b.active (-1));
-  Mutex.lock b.finished;
-  Condition.signal b.finished_cond;
-  Mutex.unlock b.finished
-
-(* Under pool lock. *)
-let claim_slot () =
-  let rec go = function
-    | [] -> None
-    | b :: rest ->
-      if b.live && b.free_slots <> [] && Atomic.get b.pending > 0 then (
-        match b.free_slots with
-        | s :: tl ->
-          b.free_slots <- tl;
-          (* Join while [b.live] still holds the pool lock against [retire],
-             so the caller cannot observe [active] = 0 early. *)
-          ignore (Atomic.fetch_and_add b.active 1);
-          Some (b, s)
-        | [] -> assert false)
-      else go rest
-  in
-  go pool.batches
+  end
 
 let rec worker_loop () =
   Mutex.lock pool.lock;
-  let claimed =
-    let rec wait () =
-      if pool.shutdown then None
-      else
-        match claim_slot () with
-        | Some _ as c -> c
-        | None ->
-          Condition.wait pool.work_available pool.lock;
-          wait ()
-    in
-    wait ()
+  let rec wait () =
+    if pool.shutdown then None
+    else
+      match List.find_opt (fun b -> Atomic.get b.next < b.n) pool.batches with
+      | Some _ as b -> b
+      | None ->
+        Condition.wait pool.work_available pool.lock;
+        wait ()
   in
+  let claimed = wait () in
   Mutex.unlock pool.lock;
   match claimed with
   | None -> () (* shutdown *)
-  | Some (b, slot) ->
-    participate b ~slot;
+  | Some b ->
+    participate b;
     worker_loop ()
 
-(* Under pool lock.  Grows the pool monotonically; workers persist until
-   process exit and are shared by every subsequent batch. *)
+(* Under pool lock.  Grows the pool to [n] workers but never past one per
+   spare core: OCaml's stop-the-world minor collections wait on every
+   domain, parked ones included, so workers beyond the core count slow
+   down every allocating caller without adding throughput.  Workers
+   persist until process exit and are shared by every subsequent batch. *)
 let ensure_workers n =
-  let target = min n max_workers in
-  while pool.n_workers < target do
-    let id = pool.n_workers + 1 in
-    let d =
-      Domain.spawn (fun () ->
-          Domain.DLS.set domain_id_key id;
-          worker_loop ())
-    in
-    pool.workers <- d :: pool.workers;
-    pool.n_workers <- pool.n_workers + 1
-  done
+  let target = min n (Domain.recommended_domain_count () - 1) in
+  let rec spawn have =
+    if have < target then begin
+      let id = have + 1 in
+      let d =
+        Domain.spawn (fun () ->
+            Domain.DLS.set domain_id_key id;
+            worker_loop ())
+      in
+      pool.workers <- d :: pool.workers;
+      spawn id
+    end
+  in
+  spawn (List.length pool.workers)
 
 (* Registered at module init, so it runs after every later-registered
    at_exit: the whole process gets to finish its parallel work first. *)
@@ -276,58 +118,40 @@ let shutdown_pool () =
   Condition.broadcast pool.work_available;
   let ws = pool.workers in
   pool.workers <- [];
-  pool.n_workers <- 0;
   Mutex.unlock pool.lock;
   List.iter Domain.join ws
 
 let () = at_exit shutdown_pool
 
-(* Run tasks 0..n-1 through the pool: seed [min jobs n] chunked deques,
-   publish, work slot 0, then wait out stragglers stolen by helpers. *)
+(* Run tasks 0..n-1 through the pool: publish, take part, unpublish once
+   every index is claimed, then wait out tasks still running on helpers. *)
 let run_batch ~jobs ~n run =
-  if n > 0 then begin
-    if jobs <= 1 || n = 1 then
-      for i = 0 to n - 1 do
-        run i
-      done
-    else begin
-      let k = min jobs n in
-      let deques =
-        Array.init k (fun s ->
-            let lo = s * n / k and hi = (s + 1) * n / k in
-            let d = Deque.create ~capacity:(hi - lo) in
-            for i = lo to hi - 1 do
-              Deque.push d i
-            done;
-            d)
-      in
-      let b =
-        {
-          deques;
-          run;
-          pending = Atomic.make n;
-          active = Atomic.make 1; (* the caller, pre-registered *)
-          free_slots = List.init (k - 1) (fun i -> i + 1);
-          live = true;
-          finished = Mutex.create ();
-          finished_cond = Condition.create ();
-        }
-      in
-      Telemetry.incr Telemetry.global ~pass:"parallel" "batches" 1;
-      Mutex.lock pool.lock;
-      ensure_workers (k - 1);
-      pool.batches <- pool.batches @ [ b ];
-      Condition.broadcast pool.work_available;
-      Mutex.unlock pool.lock;
-      participate b ~slot:0;
-      if Atomic.get b.pending > 0 || Atomic.get b.active > 0 then begin
-        Mutex.lock b.finished;
-        while Atomic.get b.pending > 0 || Atomic.get b.active > 0 do
-          Condition.wait b.finished_cond b.finished
-        done;
-        Mutex.unlock b.finished
-      end
-    end
+  let b =
+    {
+      n;
+      run;
+      next = Atomic.make 0;
+      pending = Atomic.make n;
+      finished = Mutex.create ();
+      finished_cond = Condition.create ();
+    }
+  in
+  Telemetry.incr Telemetry.global ~pass:"parallel" "batches" 1;
+  Mutex.lock pool.lock;
+  ensure_workers (min jobs n - 1);
+  pool.batches <- pool.batches @ [ b ];
+  Condition.broadcast pool.work_available;
+  Mutex.unlock pool.lock;
+  participate b;
+  Mutex.lock pool.lock;
+  pool.batches <- List.filter (fun x -> x != b) pool.batches;
+  Mutex.unlock pool.lock;
+  if Atomic.get b.pending > 0 then begin
+    Mutex.lock b.finished;
+    while Atomic.get b.pending > 0 do
+      Condition.wait b.finished_cond b.finished
+    done;
+    Mutex.unlock b.finished
   end
 
 (* ------------------------------------------------------------------ *)
@@ -340,17 +164,6 @@ let unwrap = function
   | Some (Error e) -> raise e
   | None -> assert false
 
-let map ?(jobs = 1) f arr =
-  let n = Array.length arr in
-  if jobs <= 1 || n <= 1 then Array.map f arr
-  else begin
-    let results = Array.make n None in
-    run_batch ~jobs ~n (fun i ->
-        results.(i) <-
-          Some (match f arr.(i) with v -> Ok v | exception e -> Error e));
-    Array.map unwrap results
-  end
-
 let tabulate ?(jobs = 1) n f =
   if jobs <= 1 || n <= 1 then Array.init n f
   else begin
@@ -359,6 +172,8 @@ let tabulate ?(jobs = 1) n f =
         results.(i) <- Some (match f i with v -> Ok v | exception e -> Error e));
     Array.map unwrap results
   end
+
+let map ?jobs f arr = tabulate ?jobs (Array.length arr) (fun i -> f arr.(i))
 
 let iter ?(jobs = 1) n f =
   if jobs <= 1 || n <= 1 then
@@ -373,23 +188,6 @@ let iter ?(jobs = 1) n f =
   end
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
-
-let fork_join ?(jobs = 2) fa fb =
-  if jobs <= 1 then begin
-    let a = fa () in
-    let b = fb () in
-    (a, b)
-  end
-  else begin
-    let ra = ref None and rb = ref None in
-    run_batch ~jobs:2 ~n:2 (fun i ->
-        if i = 0 then
-          ra := Some (match fa () with v -> Ok v | exception e -> Error e)
-        else rb := Some (match fb () with v -> Ok v | exception e -> Error e));
-    let a = unwrap !ra in
-    let b = unwrap !rb in
-    (a, b)
-  end
 
 let default_jobs () =
   match Sys.getenv_opt "UNROLLML_JOBS" with

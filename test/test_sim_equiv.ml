@@ -159,12 +159,7 @@ let test_fast_suite_bit_identical () =
       (List.concat_map (fun swp -> List.init Unroll.max_factor (fun i -> (swp, i + 1))) [ false; true ])
   in
   Alcotest.(check int) "executables" 8304 (Array.length loops * 2 * Unroll.max_factor);
-  (* No wider than the host: compiling allocates heavily, and every
-     stop-the-world collection waits on each domain, so domains beyond
-     the core count slow it down (4 domains on a 2-vCPU host ran this
-     case 3x slower than 2). *)
-  let jobs = min (Parallel.default_jobs ()) (Domain.recommended_domain_count ()) in
-  let mismatches = Parallel.map ~jobs first_mismatch loops in
+  let mismatches = Parallel.map ~jobs:(Parallel.default_jobs ()) first_mismatch loops in
   Array.iteri
     (fun i m ->
       Option.iter

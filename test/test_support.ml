@@ -236,35 +236,37 @@ let test_parallel_first_exception_by_index () =
         Alcotest.(check string) (Printf.sprintf "first raise at j=%d" j) "17" s)
     [ 1; 2; 8 ]
 
-let test_fork_join () =
-  let a, b = Parallel.fork_join (fun () -> busy 1000; 41 + 1) (fun () -> "ab" ^ "c") in
-  Alcotest.(check int) "left" 42 a;
-  Alcotest.(check string) "right" "abc" b;
-  (* When both sides raise, the left exception wins. *)
-  (match Parallel.fork_join (fun () -> failwith "left") (fun () -> failwith "right") with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure s -> Alcotest.(check string) "left wins" "left" s);
-  match Parallel.fork_join ~jobs:1 (fun () -> 1) (fun () -> 2) with
-  | a, b ->
-    Alcotest.(check int) "sequential left" 1 a;
-    Alcotest.(check int) "sequential right" 2 b
+(* Tasks each pool domain has run, by [parallel.domains] counter: d0 is
+   the calling domain, dK the Kth worker; OCaml caps a process at 128
+   domains. *)
+let domain_tasks () =
+  Array.init 128 (fun k ->
+      Telemetry.counter Telemetry.global ~pass:"parallel.domains" (Printf.sprintf "d%d" k))
 
-let test_steal_counter_skew () =
-  (* Seed two deques with a deliberately skewed split: the first chunk is
-     all heavy tasks, the second all trivial ones.  The helper that drains
-     the light chunk must steal from the heavy one for the batch to finish,
-     so the global steal counter has to move. *)
-  let steals0 = Telemetry.counter Telemetry.global ~pass:"parallel" "steals" in
+let test_counters_flushed_under_skew () =
+  (* A skewed split: the first half are heavy tasks, the second trivial.
+     Whichever participants run them, every task and its per-domain count
+     must be flushed by the time the call returns. *)
+  let sum = Array.fold_left ( + ) 0 in
   let tasks0 = Telemetry.counter Telemetry.global ~pass:"parallel" "tasks" in
+  let domains0 = sum (domain_tasks ()) in
   let n = 64 in
   ignore
     (Parallel.map ~jobs:2
        (fun i -> busy (if i < n / 2 then 400_000 else 10))
        (Array.init n Fun.id));
-  let steals = Telemetry.counter Telemetry.global ~pass:"parallel" "steals" - steals0 in
   let tasks = Telemetry.counter Telemetry.global ~pass:"parallel" "tasks" - tasks0 in
   Alcotest.(check int) "every task counted" n tasks;
-  Alcotest.(check bool) "steals happened under skew" true (steals >= 1)
+  Alcotest.(check int) "every task counted per domain" n (sum (domain_tasks ()) - domains0)
+
+let test_pool_capped_at_cores () =
+  ignore (Parallel.map ~jobs:8 (fun () -> busy 200_000) (Array.make 64 ()));
+  let cores = Domain.recommended_domain_count () in
+  Array.iteri
+    (fun k v ->
+      if k >= cores && v > 0 then
+        Alcotest.failf "domain d%d ran %d tasks on a %d-core host" k v cores)
+    (domain_tasks ())
 
 let test_default_jobs_env_override () =
   let set v = Unix.putenv "UNROLLML_JOBS" v in
@@ -431,8 +433,8 @@ let suite =
     ("parallel tabulate/iter", `Quick, test_parallel_tabulate_iter);
     ("parallel nested jobs-invariant", `Quick, test_parallel_nested_identical);
     ("parallel first exception by index", `Quick, test_parallel_first_exception_by_index);
-    ("parallel fork_join", `Quick, test_fork_join);
-    ("parallel steals under skew", `Quick, test_steal_counter_skew);
+    ("parallel counters flushed under skew", `Quick, test_counters_flushed_under_skew);
+    ("parallel pool never outgrows the cores", `Quick, test_pool_capped_at_cores);
     ("parallel default_jobs env", `Quick, test_default_jobs_env_override);
     ("memo fifo eviction order", `Quick, test_memo_fifo_order);
     ("memo re-add is a no-op", `Quick, test_memo_readd_is_noop);
