@@ -112,17 +112,45 @@ let with_telemetry telemetry f =
 
 (* Every loop in a .loop file; a parse error exits 2. *)
 let read_loops path =
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Loop_text.parse_many contents with
+  match Loop_text.parse_many (In_channel.with_open_bin path In_channel.input_all) with
   | Ok loops -> loops
   | Error e ->
     Printf.eprintf "parse error: %s\n" e;
     exit 2
+
+(* The built-in kernels at trip 256: what [export] writes and
+   [predict --kernels] predicts. *)
+let kernel_loops () = List.map (fun (name, maker) -> maker ~name ~trip:256) Kernels.all
+
+(* The fuzz reproducer corpus; an unreadable one exits 2. *)
+let load_corpus dir =
+  match Fuzz.Driver.load_corpus dir with
+  | Ok entries -> entries
+  | Error e ->
+    Printf.eprintf "corpus: %s\n" e;
+    exit 2
+
+(* A server response [want] accepts, or exit 1 with every other case
+   reported on stderr as "<who>: ...". *)
+let expect_response ~who ~busy ~unexpected want (r : Wire.response) =
+  match want r with
+  | Some v -> v
+  | None ->
+    Printf.eprintf "%s: %s\n" who
+      (match r with
+      | Wire.Failure e -> e
+      | Wire.Busy -> busy
+      | Wire.Factor _ | Wire.Okay _ -> Printf.sprintf "unexpected %s response" unexpected);
+    exit 1
+
+(* One loop at factor [u] the way its label is measured: compiled, then
+   run warm at the config's simulation window. *)
+let measure (config : Config.t) ~swp loop u =
+  let exe = Pipeline.compile config.Config.machine ~swp loop u in
+  let cycles, _ =
+    Measure.warm_run ~max_sim_iters:config.Config.max_sim_iters config.Config.machine exe
+  in
+  (exe, cycles)
 
 (* dataset *)
 let dataset_cmd =
@@ -211,10 +239,7 @@ let inspect_cmd =
       let factors = match factor with Some u -> [ u ] | None -> List.init 8 (fun i -> i + 1) in
       List.iter
         (fun u ->
-          let exe = Simulator.compile config.Config.machine ~swp loop u in
-          let state = Simulator.create_state config.Config.machine in
-          ignore (Simulator.run state exe);
-          let cycles = Simulator.run state exe in
+          let exe, cycles = measure config ~swp loop u in
           let kind =
             match exe.Simulator.schedules with
             | (s, _, _) :: _ -> begin
@@ -248,16 +273,12 @@ let export_cmd =
   let run config output what =
     let loops =
       match what with
-      | `Kernels ->
-        List.map (fun (name, maker) -> maker ~name ~trip:256) Kernels.all
+      | `Kernels -> kernel_loops ()
       | `Suite ->
         List.map snd
           (Suite.all_loops (Suite.full ~scale:config.Config.scale ~seed:config.Config.seed))
     in
-    let oc = open_out output in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
+    Out_channel.with_open_text output (fun oc ->
         List.iter
           (fun l ->
             output_string oc (Loop_text.to_string l);
@@ -281,11 +302,7 @@ let inspect_file_cmd =
       (fun loop ->
         Format.printf "%a@." Pretty.pp_loop loop;
         for u = 1 to Unroll.max_factor do
-          let exe = Simulator.compile config.Config.machine ~swp loop u in
-          let state = Simulator.create_state config.Config.machine in
-          ignore (Simulator.run state exe);
-          let cycles = Simulator.run state exe in
-          Format.printf "  u=%d: %d cycles@." u cycles
+          Format.printf "  u=%d: %d cycles@." u (snd (measure config ~swp loop u))
         done;
         Format.printf "  ORC heuristic picks u=%d@.@."
           (Orc_heuristic.predict config.Config.machine ~swp loop))
@@ -322,24 +339,20 @@ let fuzz_cmd =
     with_telemetry telemetry @@ fun () ->
     let jobs = jobs_of ~default:1 jobs in
     let replay_violations =
-      match Fuzz.Driver.load_corpus corpus with
-      | Error e ->
-        Printf.eprintf "corpus: %s\n" e;
-        exit 2
-      | Ok entries ->
-        let violations =
-          List.concat_map
-            (fun (file, repro) ->
-              List.map
-                (fun (oracle, detail) ->
-                  Printf.printf "corpus %s [%s]: %s\n" file oracle detail;
-                  (file, oracle, detail))
-                (Fuzz.Driver.check_repro repro))
-            entries
-        in
-        Printf.printf "corpus replay: %d file(s), %d violation(s)\n" (List.length entries)
-          (List.length violations);
-        violations
+      let entries = load_corpus corpus in
+      let violations =
+        List.concat_map
+          (fun (file, repro) ->
+            List.map
+              (fun (oracle, detail) ->
+                Printf.printf "corpus %s [%s]: %s\n" file oracle detail;
+                (file, oracle, detail))
+              (Fuzz.Driver.check_repro repro))
+          entries
+      in
+      Printf.printf "corpus replay: %d file(s), %d violation(s)\n" (List.length entries)
+        (List.length violations);
+      violations
     in
     let report = Fuzz.Driver.run ~jobs ~budget ~seed () in
     List.iter
@@ -413,8 +426,7 @@ let verify_cmd =
     if not (Sys.file_exists out) then Unix.mkdir out 0o755;
     let base = Filename.concat out (Printf.sprintf "verify-symbolic-%04d" c.Fuzz.Gen.id) in
     let write path contents =
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+      Out_channel.with_open_text path (fun oc -> output_string oc contents)
     in
     write (base ^ ".loop") (Fuzz.Driver.repro_to_string c ~oracle:"verify-symbolic");
     write (base ^ ".report.txt") (Verify.Validate.report_to_string report ^ "\n");
@@ -467,23 +479,18 @@ let verify_cmd =
                    ~machine:config.Config.machine loop ~factor:u))
             factors)
         loops
-    | None, None -> begin
-      match Fuzz.Driver.load_corpus corpus with
-      | Error e ->
-        Printf.eprintf "corpus: %s\n" e;
-        exit 2
-      | Ok entries ->
-        List.iter
-          (fun (fname, (repro : Fuzz.Driver.repro)) ->
-            let c = repro.Fuzz.Driver.rcase in
-            show ~header:("== " ^ fname)
-              (Verify.Validate.verify_case ~telemetry:tl
-                 ~coords:[ (c.Fuzz.Gen.swp, c.Fuzz.Gen.rle) ]
-                 ~machine:c.Fuzz.Gen.machine c.Fuzz.Gen.loop ~factor:c.Fuzz.Gen.factor))
-          entries;
-        Printf.printf "corpus verify: %d file(s), %d not proved\n" (List.length entries)
-          !failures
-    end);
+    | None, None ->
+      let entries = load_corpus corpus in
+      List.iter
+        (fun (fname, (repro : Fuzz.Driver.repro)) ->
+          let c = repro.Fuzz.Driver.rcase in
+          show ~header:("== " ^ fname)
+            (Verify.Validate.verify_case ~telemetry:tl
+               ~coords:[ (c.Fuzz.Gen.swp, c.Fuzz.Gen.rle) ]
+               ~machine:c.Fuzz.Gen.machine c.Fuzz.Gen.loop ~factor:c.Fuzz.Gen.factor))
+        entries;
+      Printf.printf "corpus verify: %d file(s), %d not proved\n" (List.length entries)
+        !failures);
     if !failures > 0 then exit 1
   in
   Cmd.v
@@ -594,10 +601,8 @@ let train_cmd =
         let tmp = Printf.sprintf "%s.tmp.%d" output (Unix.getpid ()) in
         Model_artifact.save artifact tmp;
         Sys.rename tmp output;
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (output ^ ".lineage") in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
+        Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 (output ^ ".lineage")
+          (fun oc ->
             Printf.fprintf oc "v%d parent %s digest %s dataset %s\n" !version !parent
               digest report.Train.dataset_digest);
         Printf.printf "v%d %s: %s model, %d/%d sweeps complete (%d loops kept)\n%!"
@@ -734,7 +739,7 @@ let predict_cmd =
     with_telemetry telemetry (fun () ->
         let loops =
           match (kernels, file) with
-          | true, None -> List.map (fun (name, maker) -> maker ~name ~trip:256) Kernels.all
+          | true, None -> kernel_loops ()
           | false, Some path -> read_loops path
           | _ ->
             Printf.eprintf "predict: give exactly one of --kernels or a .loop FILE\n";
@@ -763,18 +768,10 @@ let predict_cmd =
                   Printf.eprintf "remote: %s\n" e;
                   exit 2
                 | Ok responses ->
+                  let factor = function Wire.Factor f -> Some f | _ -> None in
                   ( Array.map
-                      (function
-                        | Wire.Factor f -> f
-                        | Wire.Busy ->
-                          Printf.eprintf "remote: server shed the request (busy)\n";
-                          exit 1
-                        | Wire.Okay _ ->
-                          Printf.eprintf "remote: unexpected control response\n";
-                          exit 1
-                        | Wire.Failure e ->
-                          Printf.eprintf "remote: %s\n" e;
-                          exit 1)
+                      (expect_response ~who:"remote" ~busy:"server shed the request (busy)"
+                         ~unexpected:"control" factor)
                       responses,
                     None ))
           end
@@ -811,10 +808,7 @@ let predict_cmd =
           loops;
         if output = "-" then print_string (Buffer.contents buf)
         else begin
-          let oc = open_out output in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Buffer.contents buf));
+          Out_channel.with_open_text output (fun oc -> Buffer.output_buffer oc buf);
           Printf.printf "wrote %d predictions to %s\n" (List.length loops) output
         end)
   in
@@ -970,18 +964,14 @@ let ctl_cmd =
         ~finally:(fun () -> Serve_client.close client)
         (fun () ->
           match Serve_client.control client (String.concat " " command) with
-          | Ok (Wire.Okay text) ->
+          | Ok r ->
+            let text =
+              expect_response ~who:"ctl" ~busy:"server busy" ~unexpected:"prediction"
+                (function Wire.Okay text -> Some text | _ -> None)
+                r
+            in
             print_string text;
             if text = "" || text.[String.length text - 1] <> '\n' then print_newline ()
-          | Ok (Wire.Failure e) ->
-            Printf.eprintf "ctl: %s\n" e;
-            exit 1
-          | Ok Wire.Busy ->
-            Printf.eprintf "ctl: server busy\n";
-            exit 1
-          | Ok (Wire.Factor _) ->
-            Printf.eprintf "ctl: unexpected prediction response\n";
-            exit 1
           | Error e ->
             Printf.eprintf "ctl: %s\n" e;
             exit 1)

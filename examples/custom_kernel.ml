@@ -38,10 +38,8 @@ let () =
       Printf.printf "%3s %12s %-28s %7s %7s\n" "u" "cycles" "schedule" "spills" "code";
       let best = ref (1, max_int) in
       for u = 1 to Unroll.max_factor do
-        let exe = Simulator.compile machine ~swp loop u in
-        let state = Simulator.create_state machine in
-        ignore (Simulator.run state exe);
-        let cycles = Simulator.run state exe in
+        let exe = Pipeline.compile machine ~swp loop u in
+        let cycles, _ = Measure.warm_run machine exe in
         if cycles < snd !best then best := (u, cycles);
         let kind =
           match exe.Simulator.schedules with

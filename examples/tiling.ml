@@ -32,21 +32,15 @@ let sweep name loop =
        loop.Loop.arrays
     / 1024)
     (machine.Machine.l1d.Machine.size_bytes / 1024);
-  let baseline =
-    let exe = Simulator.compile machine ~swp:false loop 4 in
-    let st = Simulator.create_state machine in
-    ignore (Simulator.run st exe);
-    Simulator.run st exe
-  in
+  let baseline = fst (Measure.warm_run machine (Pipeline.compile machine ~swp:false loop 4)) in
   Printf.printf "  untiled (u=4): %d cycles\n" baseline;
   let candidates = [ 64; 128; 256; 512; 1024; 2048; 4096 ] in
   List.iter
     (fun strip ->
       if strip <= loop.Loop.trip_actual then begin
-        let exe = Strip_mine.executable machine ~swp:false loop ~strip ~unroll:4 in
-        let st = Simulator.create_state machine in
-        ignore (Simulator.run st exe);
-        let cycles = Simulator.run st exe in
+        let cycles, _ =
+          Measure.warm_run machine (Strip_mine.executable machine ~swp:false loop ~strip ~unroll:4)
+        in
         Printf.printf "  strip %5d: %9d cycles (%.2fx)\n" strip cycles
           (float_of_int baseline /. float_of_int cycles)
       end)

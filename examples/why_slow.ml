@@ -17,10 +17,9 @@ let profile_kernel (name, maker) =
     "data" "fetch" "branch" "entry" "fill";
   List.iter
     (fun u ->
-      let exe = Simulator.compile machine ~swp:false loop u in
-      let st = Simulator.create_state machine in
-      ignore (Simulator.run st exe);
-      let cycles, stats = Simulator.run_profiled st exe in
+      let cycles, stats =
+        Measure.warm_run machine (Pipeline.compile machine ~swp:false loop u)
+      in
       Printf.printf "%3d %9d %8d %8d %8d %8d %8d %7d\n" u cycles
         stats.Simulator.issue_cycles stats.Simulator.data_stall_cycles
         stats.Simulator.fetch_stall_cycles stats.Simulator.branch_cycles

@@ -1,11 +1,3 @@
-let compile (config : Config.t) ~swp predictor ?cycles loop =
-  let u = Predictor.predict predictor config ~swp ?cycles loop in
-  (u, Simulator.compile config.Config.machine ~swp loop u)
-
-let run_compiled (config : Config.t) exe =
-  let state = Simulator.create_state config.Config.machine in
-  Simulator.run ~max_sim_iters:config.Config.max_sim_iters state exe
-
 let predictions_for config ~swp predictor labeled =
   Array.map
     (fun (l : Labeling.labeled) ->

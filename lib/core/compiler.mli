@@ -1,22 +1,11 @@
-(** The end-to-end compilation pipeline with a pluggable unroll predictor.
+(** Putting a predictor back into the compiler: the speedup it realises.
 
-    [compile] is what the modified ORC does per loop: ask the predictor for
-    a factor, unroll, clean up exposed redundancy, schedule (modulo
-    scheduling with list fallback when software pipelining is on), and
-    allocate registers.  [benchmark_speedup] reproduces the whole-program
-    methodology of §6.1: per-benchmark runtimes combine the per-loop cycle
-    measurements with the benchmark's loop weights and its non-loop
-    fraction (Amdahl dilution), and speedups are reported against the ORC
-    baseline. *)
-
-val compile :
-  Config.t -> swp:bool -> Predictor.t -> ?cycles:int array -> Loop.t ->
-  int * Simulator.executable
-(** The chosen factor and the compiled, schedulable result. *)
-
-val run_compiled : Config.t -> Simulator.executable -> int
-(** Execute a compiled loop on a fresh machine state (one warm-up entry
-    already included in the executable's outer trips). *)
+    A predictor's per-loop factor choices are costed with the loop's
+    measured per-factor cycles ({!predictions_for}).  [benchmark_speedup]
+    reproduces the whole-program methodology of §6.1: per-benchmark
+    runtimes combine the per-loop cycle measurements with the benchmark's
+    loop weights and its non-loop fraction (Amdahl dilution), and speedups
+    are reported against the ORC baseline. *)
 
 val predictions_for :
   Config.t -> swp:bool -> Predictor.t -> Labeling.labeled array -> int array

@@ -232,18 +232,3 @@ let compile ?(cache = Compile_cache.global) ?telemetry machine ~swp loop factor 
     let exe = Pipeline_state.executable_exn st in
     Compile_cache.store_exe cache key exe;
     exe
-
-(* The tail of the pipeline: callers that did their own transformation
-   (tiling, hand-unrolled input) enter after unroll/rle. *)
-let backend_passes = [ schedule_pass; regalloc_pass; assemble_pass ]
-
-let of_unrolled ?telemetry machine ~swp (u : Unroll.t) ~outer_trip ~exit_prob =
-  let source = { u.Unroll.kernel with Loop.outer_trip; exit_prob } in
-  let st =
-    {
-      (Pipeline_state.init machine ~swp source u.Unroll.factor) with
-      Pipeline_state.unrolled = Some u;
-    }
-  in
-  let st = run ?telemetry ~passes:backend_passes st in
-  Pipeline_state.executable_exn st

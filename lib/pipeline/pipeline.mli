@@ -1,10 +1,10 @@
 (** The pass-pipeline compiler core.
 
-    [compile] is the one entry point everything goes through —
-    {!val:Simulator.compile} delegates here, so labelling sweeps, the
-    experiment drivers and the CLI all share it.  Internally the compile
-    path is an explicit list of registered {!pass}es over the typed
-    {!Pipeline_state.state} record:
+    There are two ways in: {!compile}, cached, for callers that look an
+    executable up (the CLI, tiling, tests), and {!run}, the bare pass
+    fold, which the labelling sweep calls directly because it keeps only
+    cycle counts.  Both fold the same explicit list of registered
+    {!pass}es over the typed {!Pipeline_state.state} record:
 
     {ol
     {- [unroll] — body replication with register renaming, remainder loop;}
@@ -52,11 +52,3 @@ val compile :
 (** [compile machine ~swp loop u] runs {!default_passes} (consulting and
     filling [cache], default {!Compile_cache.global}) and returns the
     executable. *)
-
-val of_unrolled :
-  ?telemetry:Telemetry.t ->
-  Machine.t -> swp:bool -> Unroll.t -> outer_trip:int -> exit_prob:float ->
-  Pipeline_state.executable
-(** Enter the pipeline after the transform stages with an already-unrolled
-    loop: schedule, allocate and assemble only.  Used by callers that
-    perform their own transformations (tiling, hand-unrolled input). *)

@@ -13,6 +13,13 @@ let noisy_median ~rng ~noise ~runs f =
     int_of_float (Float.round (Stats.median samples))
   end
 
+let warm_run ?max_sim_iters machine exe =
+  let state = Simulator.create_state machine in
+  (* Warm-up run: the paper measures loops inside live processes, so
+     steady-state measurements see warm caches. *)
+  ignore (Simulator.run_profiled ?max_sim_iters state exe);
+  Simulator.run_profiled ?max_sim_iters state exe
+
 let sweep ?(noise = 0.015) ?(runs = 30) ?max_sim_iters ?(cache = Compile_cache.global)
     ~rng ~machine ~swp loop =
   Array.init Unroll.max_factor (fun i ->
@@ -32,11 +39,7 @@ let sweep ?(noise = 0.015) ?(runs = 30) ?max_sim_iters ?(cache = Compile_cache.g
             Pipeline_state.executable_exn
               (Pipeline.run (Pipeline_state.init machine ~swp loop u))
           in
-          let state = Simulator.create_state machine in
-          (* Warm-up run: the paper measures loops inside live processes, so
-             steady-state measurements see warm caches. *)
-          ignore (Simulator.run ?max_sim_iters state exe);
-          let cycles = Simulator.run ?max_sim_iters state exe in
+          let cycles = fst (warm_run ?max_sim_iters machine exe) in
           Compile_cache.store_cycles cache key ~max_sim_iters cycles;
           cycles
       in

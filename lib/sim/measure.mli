@@ -13,6 +13,14 @@ val noisy_median :
     magnitude [noise]), returning their median.  [noise = 0.] returns the
     exact value. *)
 
+val warm_run :
+  ?max_sim_iters:int -> Machine.t -> Simulator.executable -> int * Simulator.stats
+(** [warm_run machine exe] is how every loop is measured: a fresh machine
+    state, one warm-up run to prime its caches, then the measured run,
+    whose cycles and breakdown are returned.  Callers that hold a
+    configuration pass its [max_sim_iters]; the default is
+    {!Simulator.run}'s. *)
+
 val sweep :
   ?noise:float ->
   ?runs:int ->

@@ -54,11 +54,6 @@ type executable = Pipeline_state.executable = {
   total_spills : int;
 }
 
-let of_unrolled machine ~swp (u : Unroll.t) ~outer_trip ~exit_prob =
-  Pipeline.of_unrolled machine ~swp u ~outer_trip ~exit_prob
-
-let compile ?cache machine ~swp loop u = Pipeline.compile ?cache machine ~swp loop u
-
 (* Deterministic address scramble for indirect references. *)
 let indirect_index uid iter length =
   let h = (uid * 2654435761) + (iter * 40503) in

@@ -167,11 +167,6 @@ type executable = Pipeline_state.executable = {
   total_spills : int;
 }
 
-let of_unrolled machine ~swp (u : Unroll.t) ~outer_trip ~exit_prob =
-  Pipeline.of_unrolled machine ~swp u ~outer_trip ~exit_prob
-
-let compile ?cache machine ~swp loop u = Pipeline.compile ?cache machine ~swp loop u
-
 (* Unchecked accessors for the per-iteration op loops: every index is in
    range by construction of the plan (op/ref ids are dense, register ids
    are below the loop's max_reg_id). *)

@@ -39,25 +39,13 @@ type executable = Pipeline_state.executable = {
   total_spills : int;       (** spill values inserted by the allocator *)
 }
 
-val of_unrolled :
-  Machine.t -> swp:bool -> Unroll.t -> outer_trip:int -> exit_prob:float -> executable
-(** Schedules an unrolled loop — modulo scheduling with list fallback when
-    [swp], list scheduling otherwise — with register allocation, and
-    packages it for execution.  Early-exit probability shortens the
-    effective trip count (expected iterations of a geometric exit).
-    Delegates to the backend passes of {!Pipeline}. *)
-
-val compile :
-  ?cache:Compile_cache.t -> Machine.t -> swp:bool -> Loop.t -> int -> executable
-(** [compile machine ~swp loop u] is the full pipeline the paper's modified
-    ORC runs per loop: unroll by [u], redundant-load elimination, schedule,
-    allocate.  Delegates to {!Pipeline.compile}: results are memoised in
-    [cache] (default {!Compile_cache.global}) keyed by loop content. *)
-
 val run : ?max_sim_iters:int -> state -> executable -> int
 (** Total cycles to execute the loop nest over all its entries.  Per loop
     entry at most [max_sim_iters] (default 400) iterations are simulated
     exactly; longer executions extrapolate from the steady-state tail.
+    Callers that hold a configuration pass its window, so their counts
+    match the labels measured under it; {!Measure.warm_run} is the
+    warm-up-then-measure rule every such caller uses.
     Deterministic.  The exact fast paths (fetch-hit skipping and
     steady-state entry skipping) change only wall-clock time and the
     telemetry counters: cycles and {!stats} are bit-identical to

@@ -12,7 +12,7 @@ let chunks ~trip ~outer ~strip =
   List.concat_map (fun chunk -> List.init outer (fun _ -> chunk)) per_tile
 
 let executable machine ~swp (loop : Loop.t) ~strip ~unroll =
-  let exe = Simulator.compile machine ~swp loop unroll in
+  let exe = Pipeline.compile machine ~swp loop unroll in
   (* The compiled kernel covers [unroll] original iterations per trip; the
      remainder covers one.  Re-plan the traversal tile by tile, reusing the
      kernel schedule for the divisible part of each strip and the remainder
@@ -29,7 +29,7 @@ let executable machine ~swp (loop : Loop.t) ~strip ~unroll =
     | None ->
       (* strips not divisible by the unroll factor need a rolled tail even
          when the whole trip was divisible *)
-      (match (Simulator.compile machine ~swp loop 1).Simulator.schedules with
+      (match (Pipeline.compile machine ~swp loop 1).Simulator.schedules with
       | (s, _, _) :: _ -> s
       | [] -> assert false)
   in
@@ -69,10 +69,7 @@ let best_strip machine ~swp loop ~candidates ~unroll =
   let best = ref (0, max_int) in
   List.iter
     (fun strip ->
-      let exe = executable machine ~swp loop ~strip ~unroll in
-      let st = Simulator.create_state machine in
-      ignore (Simulator.run st exe);
-      let cycles = Simulator.run st exe in
+      let cycles, _ = Measure.warm_run machine (executable machine ~swp loop ~strip ~unroll) in
       if cycles < snd !best then best := (strip, cycles))
     candidates;
   !best

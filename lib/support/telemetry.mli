@@ -8,7 +8,7 @@
     renderable as a table from the CLI.
 
     A process-wide {!global} sink exists so that deeply-buried call sites
-    ({!val:Simulator.compile} behind {!Measure.sweep} behind a labelling
+    ({!val:Pipeline.run} behind {!Measure.sweep} behind a labelling
     sweep) need not thread a sink explicitly; experiments that want
     isolated numbers create their own. *)
 

@@ -221,12 +221,6 @@ let test_compiler_speedup_oracle_dominates () =
       end)
     benchmarks
 
-let test_compiler_compile_runs () =
-  let l = Kernels.stencil3 ~name:"c_run" ~trip:64 in
-  let u, exe = Compiler.compile config ~swp:false Predictor.Orc l in
-  Alcotest.(check bool) "factor in range" true (u >= 1 && u <= 8);
-  Alcotest.(check bool) "simulates" true (Compiler.run_compiled config exe > 0)
-
 (* --- Experiments (integration, slow) --- *)
 
 let test_experiments_end_to_end () =
@@ -553,7 +547,6 @@ let suite =
     ("predictor nonunrollable", `Quick, test_predictor_nonunrollable_forced);
     ("predictor learned", `Slow, test_predictor_learned_roundtrip);
     ("compiler oracle dominates", `Slow, test_compiler_speedup_oracle_dominates);
-    ("compiler compile runs", `Quick, test_compiler_compile_runs);
     ("experiments end to end", `Slow, test_experiments_end_to_end);
     ("joint encode/decode", `Quick, test_joint_encode_decode_roundtrip);
     ("joint merge layout", `Slow, test_joint_merge_layout);

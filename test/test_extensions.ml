@@ -84,7 +84,7 @@ let machine = Machine.itanium2
 
 let test_profile_accounts_for_total () =
   let loop = Kernels.daxpy ~name:"pr_daxpy" ~trip:256 in
-  let exe = Simulator.compile machine ~swp:false loop 2 in
+  let exe = Pipeline.compile machine ~swp:false loop 2 in
   let st = Simulator.create_state machine in
   ignore (Simulator.run st exe);
   let cycles, s = Simulator.run_profiled st exe in
@@ -102,7 +102,7 @@ let test_profile_gather_stalls () =
   (* The indirect gather must show data stalls; the dense copy mustn't. *)
   let prof k =
     let loop = k ~trip:512 in
-    let exe = Simulator.compile machine ~swp:false loop 1 in
+    let exe = Pipeline.compile machine ~swp:false loop 1 in
     let st = Simulator.create_state machine in
     ignore (Simulator.run st exe);
     snd (Simulator.run_profiled st exe)
@@ -113,7 +113,7 @@ let test_profile_gather_stalls () =
 let test_profile_unroll_reduces_branch () =
   let loop = Kernels.dscal ~name:"pr_branch" ~trip:512 in
   let branch u =
-    let exe = Simulator.compile machine ~swp:false loop u in
+    let exe = Pipeline.compile machine ~swp:false loop u in
     let st = Simulator.create_state machine in
     ignore (Simulator.run st exe);
     (snd (Simulator.run_profiled st exe)).Simulator.branch_cycles
@@ -122,7 +122,7 @@ let test_profile_unroll_reduces_branch () =
 
 let test_profile_swp_reports_fill () =
   let loop = Kernels.ddot ~name:"pr_fill" ~trip:256 in
-  let exe = Simulator.compile machine ~swp:true loop 1 in
+  let exe = Pipeline.compile machine ~swp:true loop 1 in
   let st = Simulator.create_state machine in
   ignore (Simulator.run st exe);
   let _, s = Simulator.run_profiled st exe in
@@ -231,7 +231,7 @@ let test_tiling_beats_thrashing () =
     ignore (Simulator.run st exe);
     Simulator.run st exe
   in
-  let untiled = run (Simulator.compile machine ~swp:false loop 4) in
+  let untiled = run (Pipeline.compile machine ~swp:false loop 4) in
   let tiled = run (Strip_mine.executable machine ~swp:false loop ~strip:512 ~unroll:4) in
   Alcotest.(check bool)
     (Printf.sprintf "tiled %d < untiled %d" tiled untiled)

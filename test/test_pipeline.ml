@@ -39,17 +39,21 @@ let prop_pipeline_semantics =
       run_exe st_new exe;
       equivalent_modulo_spills exe st_orig st_new loop.Loop.live_out)
 
-let test_pipeline_matches_simulator_compile () =
-  (* Simulator.compile is a thin delegate; the pipeline must produce the
-     same executable for the same inputs. *)
+let test_compile_matches_run () =
+  (* The two ways in: the cached [compile] (inspect, tiling) and the bare
+     pass fold the labelling sweep runs must produce the same executable
+     for the same inputs. *)
   List.iter
     (fun (name, maker) ->
       let loop = maker ~name ~trip:96 in
       List.iter
         (fun u ->
           let a = Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp:false loop u in
-          let b = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp:false loop u in
-          if a <> b then Alcotest.failf "%s u=%d: pipeline and simulator differ" name u)
+          let b =
+            Pipeline_state.executable_exn
+              (Pipeline.run (Pipeline_state.init machine ~swp:false loop u))
+          in
+          if a <> b then Alcotest.failf "%s u=%d: compile and run differ" name u)
         [ 1; 3; 8 ])
     Kernels.all
 
@@ -210,6 +214,31 @@ let test_cache_capacity_zero_disables () =
   ignore (Pipeline.compile ~cache machine ~swp:false loop 2);
   Alcotest.(check int) "never hits" 0 (Compile_cache.hits cache)
 
+let test_inspect_fixture_is_fast_sweep () =
+  (* The checked-in `inspect stencil3 --trip 512 --fast` output (diffed
+     against the CLI by a runtest rule) must report, per factor, the
+     noise-free count the FAST labelling sweep measures. *)
+  let fixture =
+    In_channel.with_open_bin (Test_store.fixture "inspect_stencil3_fast.txt")
+      In_channel.input_all
+  in
+  let shown =
+    String.split_on_char '\n' fixture
+    |> List.filter_map (fun line ->
+           try Scanf.sscanf line "u=%d: %d cycles" (fun u c -> Some (u, c))
+           with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
+  in
+  let config = Config.fast in
+  let swept =
+    Measure.sweep ~noise:0. ~runs:1 ~max_sim_iters:config.Config.max_sim_iters
+      ~cache:(Compile_cache.create ()) ~rng:(Rng.create 1) ~machine:config.Config.machine
+      ~swp:false (Kernels.stencil3 ~name:"stencil3" ~trip:512)
+  in
+  Alcotest.(check (list (pair int int)))
+    "fixture cycles = FAST sweep"
+    (List.init Unroll.max_factor (fun i -> (i + 1, swept.(i))))
+    shown
+
 (* --- parallel labelling ------------------------------------------------ *)
 
 let small_config = { Config.fast with Config.scale = 0.04; runs = 3; max_sim_iters = 120 }
@@ -248,7 +277,7 @@ let test_parallel_loocv_identical () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pipeline_semantics;
-    ("pipeline matches Simulator.compile", `Quick, test_pipeline_matches_simulator_compile);
+    ("compile matches run", `Quick, test_compile_matches_run);
     ("telemetry records passes", `Quick, test_telemetry_records_passes);
     ("warm cache equals cold sweep", `Quick, test_cache_warm_equals_cold);
     ("cache key ignores loop name", `Quick, test_cache_key_ignores_name);
@@ -258,4 +287,5 @@ let suite =
     ("jobs=4 labels identical to jobs=1", `Slow, test_parallel_labels_identical);
     ("jobs=4 LOOCV identical to jobs=1", `Quick, test_parallel_loocv_identical);
     ("pinned executables digest", `Quick, test_pinned_executables);
+    ("inspect fixture is the FAST sweep", `Quick, test_inspect_fixture_is_fast_sweep);
   ]

@@ -52,7 +52,7 @@ let test_cache_geometry () =
 (* --- Simulator --- *)
 
 let run_loop ?(swp = false) loop u =
-  let exe = Simulator.compile machine ~swp loop u in
+  let exe = Pipeline.compile machine ~swp loop u in
   let st = Simulator.create_state machine in
   ignore (Simulator.run st exe);
   Simulator.run st exe
@@ -118,14 +118,14 @@ let test_sim_code_footprint_costs () =
      I-cache refetch on every one of many entries. *)
   let loop = Kernels.stencil5 ~name:"sim_icache" ~trip:24 in
   let loop = { loop with Loop.outer_trip = 256 } in
-  let exe_small = Simulator.compile machine ~swp:false loop 1 in
-  let exe_big = Simulator.compile machine ~swp:false loop 8 in
+  let exe_small = Pipeline.compile machine ~swp:false loop 1 in
+  let exe_big = Pipeline.compile machine ~swp:false loop 8 in
   Alcotest.(check bool) "u8 code much larger" true
     (exe_big.Simulator.total_code_bytes > 3 * exe_small.Simulator.total_code_bytes)
 
 let test_sim_executable_structure () =
   let loop = Kernels.daxpy ~name:"sim_exe" ~trip:103 in
-  let exe = Simulator.compile machine ~swp:false loop 4 in
+  let exe = Pipeline.compile machine ~swp:false loop 4 in
   Alcotest.(check int) "two schedules (kernel+remainder)" 2
     (List.length exe.Simulator.schedules);
   (match exe.Simulator.schedules with
@@ -135,14 +135,14 @@ let test_sim_executable_structure () =
     Alcotest.(check int) "remainder trips" 3 rt;
     Alcotest.(check int) "remainder phase" 100 ph
   | _ -> Alcotest.fail "expected kernel + remainder");
-  let exe1 = Simulator.compile machine ~swp:false loop 1 in
+  let exe1 = Pipeline.compile machine ~swp:false loop 1 in
   Alcotest.(check int) "single schedule at u1" 1 (List.length exe1.Simulator.schedules)
 
 let test_sim_extrapolation_close () =
   (* Windowed extrapolation should stay close to full simulation when both
      start cold. *)
   let loop = Kernels.dscal ~name:"sim_extrap" ~trip:3000 in
-  let exe = Simulator.compile machine ~swp:false loop 2 in
+  let exe = Pipeline.compile machine ~swp:false loop 2 in
   let st = Simulator.create_state machine in
   let full = Simulator.run ~max_sim_iters:4000 st exe in
   Simulator.reset_state st;
@@ -201,7 +201,7 @@ let prop_sim_positive_and_deterministic =
   QCheck.Test.make ~count:60 ~name:"simulation positive and deterministic"
     (QCheck.make synth_gen)
     (fun (l, f, swp) ->
-      let exe = Simulator.compile machine ~swp l f in
+      let exe = Pipeline.compile machine ~swp l f in
       let st = Simulator.create_state machine in
       let a = Simulator.run ~max_sim_iters:100 st exe in
       Simulator.reset_state st;
@@ -240,7 +240,7 @@ let test_sim_zero_trip_kernel () =
   (* A loop shorter than the factor: kernel runs zero times, the remainder
      carries everything, and simulation still terminates with sane cost. *)
   let loop = Kernels.daxpy ~name:"sim_zero" ~trip:3 in
-  let exe = Simulator.compile machine ~swp:false loop 8 in
+  let exe = Pipeline.compile machine ~swp:false loop 8 in
   let st = Simulator.create_state machine in
   let c = Simulator.run st exe in
   Alcotest.(check bool) "positive but small" true (c > 0 && c < 10_000)
@@ -257,7 +257,7 @@ let test_sim_compile_all_machines () =
       let loop = Kernels.stencil3 ~name:("sim_" ^ m.Machine.mach_name) ~trip:64 in
       List.iter
         (fun swp ->
-          let exe = Simulator.compile m ~swp loop 4 in
+          let exe = Pipeline.compile m ~swp loop 4 in
           let st = Simulator.create_state m in
           Alcotest.(check bool)
             (m.Machine.mach_name ^ " runs")

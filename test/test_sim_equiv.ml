@@ -56,7 +56,7 @@ let prop_fast_equals_reference =
     ~name:"fast-forwarded Simulator bit-identical to Sim_reference"
     (QCheck.make gen)
     (fun (loop, f, swp, iters) ->
-      let exe = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp loop f in
+      let exe = Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop f in
       naive_pair exe iters = fast_pair exe iters)
 
 (* --- shared dependence graphs ------------------------------------------ *)
@@ -114,7 +114,7 @@ let test_labels_unchanged_by_fast_paths () =
     let rng = Rng.create 2005 in
     let cache = Compile_cache.create () in
     Array.init Unroll.max_factor (fun i ->
-        let exe = Simulator.compile ~cache machine ~swp:false loop (i + 1) in
+        let exe = Pipeline.compile ~cache machine ~swp:false loop (i + 1) in
         let st = Sim_reference.create_state machine in
         ignore (Sim_reference.run ~max_sim_iters st exe);
         let cycles = Sim_reference.run ~max_sim_iters st exe in
