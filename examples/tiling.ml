@@ -34,21 +34,21 @@ let sweep name loop =
     (machine.Machine.l1d.Machine.size_bytes / 1024);
   let baseline = fst (Measure.warm_run machine (Pipeline.compile machine ~swp:false loop 4)) in
   Printf.printf "  untiled (u=4): %d cycles\n" baseline;
-  let candidates = [ 64; 128; 256; 512; 1024; 2048; 4096 ] in
-  List.iter
-    (fun strip ->
-      if strip <= loop.Loop.trip_actual then begin
+  let candidates =
+    List.filter (fun s -> s <= loop.Loop.trip_actual) [ 64; 128; 256; 512; 1024; 2048; 4096 ]
+  in
+  (* The strip with the fewest cycles, first on ties — the label
+     [Strip_mine.best_strip] would return, read off the measured sweep. *)
+  let best, cycles =
+    List.fold_left
+      (fun (best, best_cycles) strip ->
         let cycles, _ =
           Measure.warm_run machine (Strip_mine.executable machine ~swp:false loop ~strip ~unroll:4)
         in
         Printf.printf "  strip %5d: %9d cycles (%.2fx)\n" strip cycles
-          (float_of_int baseline /. float_of_int cycles)
-      end)
-    candidates;
-  let best, cycles =
-    Strip_mine.best_strip machine ~swp:false loop
-      ~candidates:(List.filter (fun s -> s <= loop.Loop.trip_actual) candidates)
-      ~unroll:4
+          (float_of_int baseline /. float_of_int cycles);
+        if cycles < best_cycles then (strip, cycles) else (best, best_cycles))
+      (0, max_int) candidates
   in
   Printf.printf "  -> best strip %d (%d cycles, %.2fx over untiled)\n" best cycles
     (float_of_int baseline /. float_of_int cycles);

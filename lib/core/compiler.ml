@@ -4,7 +4,12 @@ let predictions_for config ~swp predictor labeled =
       Predictor.predict predictor config ~swp ~cycles:l.Labeling.cycles l.Labeling.loop)
     labeled
 
-let benchmark_speedup config ~swp predictor ~baseline (b : Suite.benchmark) labeled =
+(* Whole-benchmark speedup of [predictor] over [baseline] on one
+   benchmark's loops: relative loop time, weighted by each loop's share of
+   baseline loop runtime, diluted by the benchmark's non-loop fraction
+   (Amdahl).  [cost p mine] is the cycle count of [p]'s pick for each loop
+   — the engines below differ only in it. *)
+let weighted_speedup ~cost predictor ~baseline (b : Suite.benchmark) labeled =
   let mine =
     Array.of_list
       (List.filter
@@ -13,25 +18,26 @@ let benchmark_speedup config ~swp predictor ~baseline (b : Suite.benchmark) labe
   in
   if Array.length mine = 0 then 1.0
   else begin
-    (* Relative loop time under a predictor, weighted by each loop's share
-       of baseline loop runtime.  Both pick arrays come from
-       [predictions_for] — the single place per-loop factors are chosen. *)
-    let picks = predictions_for config ~swp predictor mine in
-    let base = predictions_for config ~swp baseline mine in
-    let ratio =
-      let num = ref 0.0 and den = ref 0.0 in
-      Array.iteri
-        (fun i (l : Labeling.labeled) ->
-          let c_p = float_of_int l.Labeling.cycles.(picks.(i) - 1) in
-          let c_b = float_of_int l.Labeling.cycles.(base.(i) - 1) in
-          num := !num +. (l.Labeling.weight *. (c_p /. c_b));
-          den := !den +. l.Labeling.weight)
-        mine;
-      if !den > 0.0 then !num /. !den else 1.0
-    in
+    let picked = cost predictor mine in
+    let base = cost baseline mine in
+    let num = ref 0.0 and den = ref 0.0 in
+    Array.iteri
+      (fun i (l : Labeling.labeled) ->
+        num := !num +. (l.Labeling.weight *. (picked.(i) /. base.(i)));
+        den := !den +. l.Labeling.weight)
+      mine;
+    let ratio = if !den > 0.0 then !num /. !den else 1.0 in
     let f = b.Suite.loop_fraction in
     1.0 /. ((1.0 -. f) +. (f *. ratio))
   end
+
+(* Both pick arrays come from [predictions_for] — the single place
+   per-loop factors are chosen. *)
+let benchmark_speedup config ~swp =
+  weighted_speedup ~cost:(fun p mine ->
+      Array.map2
+        (fun (l : Labeling.labeled) u -> float_of_int l.Labeling.cycles.(u - 1))
+        mine (predictions_for config ~swp p mine))
 
 type row = { bench : string; fp : bool; learned : (string * float) list; oracle : float }
 
@@ -83,29 +89,8 @@ let joint_decisions_for config ~space predictor merged =
       | Joint -> Predictor.predict_joint predictor config ~cycles:l.Labeling.cycles l.Labeling.loop)
     merged
 
-let joint_benchmark_speedup config ~space predictor ~baseline (b : Suite.benchmark) merged =
-  let mine =
-    Array.of_list
-      (List.filter
-         (fun (l : Labeling.labeled) -> l.Labeling.bench = b.Suite.bname)
-         (Array.to_list merged))
-  in
-  if Array.length mine = 0 then 1.0
-  else begin
-    let picks = joint_decisions_for config ~space predictor mine in
-    let base = joint_decisions_for config ~space baseline mine in
-    let ratio =
-      let num = ref 0.0 and den = ref 0.0 in
-      Array.iteri
-        (fun i (l : Labeling.labeled) ->
-          let pf, ps = picks.(i) and bf, bs = base.(i) in
-          let c_p = joint_cost l ~factor:pf ~swp:ps in
-          let c_b = joint_cost l ~factor:bf ~swp:bs in
-          num := !num +. (l.Labeling.weight *. (c_p /. c_b));
-          den := !den +. l.Labeling.weight)
-        mine;
-      if !den > 0.0 then !num /. !den else 1.0
-    in
-    let f = b.Suite.loop_fraction in
-    1.0 /. ((1.0 -. f) +. (f *. ratio))
-  end
+let joint_benchmark_speedup config ~space =
+  weighted_speedup ~cost:(fun p mine ->
+      Array.map2
+        (fun l (factor, swp) -> joint_cost l ~factor ~swp)
+        mine (joint_decisions_for config ~space p mine))

@@ -1,15 +1,21 @@
+type selection = {
+  mis_top : (int * float) list;
+  nn_greedy : (int * float) list;
+  svm_greedy : (int * float) list;
+  selected : int array;
+}
+
 type env = {
   config : Config.t;
   benchmarks : Suite.benchmark list;
   labeled_off : Labeling.labeled array;
   labeled_on : Labeling.labeled array;
   merged : Labeling.labeled array;
-  filtered_off : Labeling.labeled array;
-  filtered_on : Labeling.labeled array;
   dataset_off : Dataset.t;
   dataset_on : Dataset.t;
   dataset_joint : Dataset.t;
-  selected : int array;
+  selection : selection;
+  cv : (Learner.t * (Dataset.t * int array) Lazy.t) list;
   rows_off : Compiler.row array Lazy.t;
   rows_on : Compiler.row array Lazy.t;
   rows_joint : Compiler.row array Lazy.t;
@@ -21,43 +27,45 @@ let info progress fmt =
 (* §7: classification uses the union of the MIS top features and the greedy
    picks of both classifiers. *)
 let select_feature_subset ?(progress = false) ?warm (config : Config.t) dataset =
+  let jobs = config.Config.jobs and k = config.Config.greedy_k in
   let scaled = Scale.apply (Scale.fit dataset) dataset in
-  let mis = Array.to_list (Mis.rank ~jobs:config.Config.jobs dataset) in
-  let mis_top = List.filteri (fun i _ -> i < config.Config.mis_k) mis |> List.map fst in
+  let mis_top =
+    List.filteri (fun i _ -> i < config.Config.mis_k) (Array.to_list (Mis.rank ~jobs dataset))
+  in
   info progress "feature selection: MIS done";
-  let nn_picks =
+  let nn_greedy =
     (* The warm cache returns picks identical to [nn_run] — selection is
        the same function of the dataset either way.  The SVM side below
        always re-runs in full: its deterministic subsample re-strides as
        the dataset grows, so no warm bound applies (the invalidation rule
        of DESIGN.md §14). *)
-    (match warm with
-    | Some cache ->
-      Greedy_select.Warm.nn_run ~jobs:config.Config.jobs ~telemetry:Telemetry.global
-        ~k:config.Config.greedy_k cache scaled
-    | None ->
-      Greedy_select.nn_run ~jobs:config.Config.jobs ~telemetry:Telemetry.global
-        ~k:config.Config.greedy_k scaled)
-    |> List.map fst
+    match warm with
+    | Some cache -> Greedy_select.Warm.nn_run ~jobs ~telemetry:Telemetry.global ~k cache scaled
+    | None -> Greedy_select.nn_run ~jobs ~telemetry:Telemetry.global ~k scaled
   in
   info progress "feature selection: greedy NN done";
-  let svm_picks =
-    Greedy_select.svm_run ~jobs:config.Config.jobs ~telemetry:Telemetry.global
-      ~kernel:config.Config.svm_kernel ~gamma:config.Config.svm_gamma
-      ~max_examples:300 ~k:config.Config.greedy_k scaled
-    |> List.map fst
+  let svm_greedy =
+    Greedy_select.svm_run ~jobs ~telemetry:Telemetry.global ~kernel:config.Config.svm_kernel
+      ~gamma:config.Config.svm_gamma ~max_examples:300 ~k scaled
   in
   info progress "feature selection: greedy SVM done";
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  List.iter
-    (fun f ->
-      if not (Hashtbl.mem seen f) then begin
-        Hashtbl.add seen f ();
-        out := f :: !out
-      end)
-    (mis_top @ nn_picks @ svm_picks);
-  Array.of_list (List.rev !out)
+  let selected =
+    List.fold_left
+      (fun acc (f, _) -> if List.mem f acc then acc else f :: acc)
+      [] (mis_top @ nn_greedy @ svm_greedy)
+  in
+  { mis_top; nn_greedy; svm_greedy; selected = Array.of_list (List.rev selected) }
+
+(* [dataset] restricted to the feature columns [selected], then scaled. *)
+let scaled_subset selected dataset =
+  let ds = Dataset.select_features dataset selected in
+  Scale.apply (Scale.fit ds) ds
+
+let cross_validations ~jobs config ~selected dataset =
+  let scaled = lazy (scaled_subset selected dataset) in
+  List.map
+    (fun l -> (l, lazy (Learner.cross_validate ~jobs l config (Lazy.force scaled))))
+    Learner.all
 
 let build_env ?(progress = true) (config : Config.t) =
   info progress "generating 72-benchmark suite (scale %.2f)" config.Config.scale;
@@ -79,25 +87,18 @@ let build_env ?(progress = true) (config : Config.t) =
     Labeling.collect ~progress:(tick "swp-on") ~jobs:config.Config.jobs config
       ~swp:true benchmarks
   in
-  let filter_labeled labeled =
-    Array.of_list (List.filter Labeling.passes_filters (Array.to_list labeled))
-  in
-  let filtered_off = filter_labeled labeled_off in
-  let filtered_on = filter_labeled labeled_on in
   let merged = Labeling.merge_joint ~off:labeled_off ~on:labeled_on in
   let dataset_off = Labeling.to_dataset config labeled_off in
   let dataset_on = Labeling.to_dataset config labeled_on in
-  let dataset_joint = Labeling.to_joint_dataset config ~off:labeled_off ~on:labeled_on in
+  let dataset_joint = Labeling.to_dataset config merged in
   info progress "dataset: %d/%d loops survive filters (swp off), %d (swp on)"
     (Dataset.size dataset_off) count (Dataset.size dataset_on);
-  let selected = select_feature_subset ~progress config dataset_off in
+  let selection = select_feature_subset ~progress config dataset_off in
+  let selected = selection.selected in
   info progress "selected %d features" (Array.length selected);
   let spec =
     List.filter
-      (fun (b : Suite.benchmark) ->
-        match b.Suite.tag with
-        | Suite.Spec2000fp | Suite.Spec2000int -> true
-        | _ -> false)
+      (fun (b : Suite.benchmark) -> List.mem b.Suite.tag Suite.[ Spec2000fp; Spec2000int ])
       benchmarks
   in
   let rows dataset speedup =
@@ -114,12 +115,11 @@ let build_env ?(progress = true) (config : Config.t) =
     labeled_off;
     labeled_on;
     merged;
-    filtered_off;
-    filtered_on;
     dataset_off;
     dataset_on;
     dataset_joint;
-    selected;
+    selection;
+    cv = cross_validations ~jobs:config.Config.jobs config ~selected dataset_off;
     rows_off = rows dataset_off (single ~swp:false labeled_off);
     rows_on = rows dataset_on (single ~swp:true labeled_on);
     rows_joint =
@@ -131,13 +131,18 @@ let build_env ?(progress = true) (config : Config.t) =
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-let scaled_selected env dataset =
-  let ds = Dataset.select_features dataset env.selected in
-  Scale.apply (Scale.fit ds) ds
+let scaled_selected env dataset = scaled_subset env.selection.selected dataset
 
 let factor_name i = Printf.sprintf "%d" (i + 1)
 
 let upper_name l = String.uppercase_ascii (Learner.name l)
+
+let costs_of (d : Dataset.t) = Array.map (fun e -> e.Dataset.costs) d.Dataset.examples
+
+(* One learner's cross-validation on [dataset_off]: the scored subset and
+   its predictions. *)
+let cv env l =
+  Lazy.force (snd (List.find (fun (l', _) -> Learner.name l' = Learner.name l) env.cv))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3                                                            *)
@@ -174,24 +179,23 @@ let fig3 env =
 let paper_accuracy = [ ("NN", "62%"); ("SVM", "65%"); ("ORC", "16%") ]
 
 let table2 env =
-  let config = env.config in
   let ds = scaled_selected env env.dataset_off in
-  let costs_of (d : Dataset.t) = Array.map (fun e -> e.Dataset.costs) d.Dataset.examples in
   (* Every learner under its own protocol ({!Learner.cross_validate}):
      closed-form LOO for NN and the (capped) SVM; the MLP has no
      closed-form shortcut, so it is scored leave-one-benchmark-out. *)
   let scored =
     List.map
       (fun l ->
-        let sub, pred = Learner.cross_validate ~jobs:config.Config.jobs l config ds in
+        let sub, pred = cv env l in
         (upper_name l, sub, pred))
       Learner.all
   in
   let orc_pred =
-    Array.map
-      (fun (l : Labeling.labeled) ->
-        Orc_heuristic.no_swp config.Config.machine l.Labeling.loop - 1)
-      env.filtered_off
+    (* The filter survivors, in dataset order. *)
+    List.filter Labeling.passes_filters (Array.to_list env.labeled_off)
+    |> List.map (fun (l : Labeling.labeled) ->
+           Orc_heuristic.no_swp env.config.Config.machine l.Labeling.loop - 1)
+    |> Array.of_list
   in
   let columns = scored @ [ ("ORC", ds, orc_pred) ] in
   let ranks =
@@ -225,7 +229,7 @@ let table2 env =
       | Some p -> Printf.sprintf " (paper %s)" p
       | None -> "")
   in
-  let _, svm_ds, svm_pred = List.find (fun (n, _, _) -> n = "SVM") scored in
+  let svm_ds, svm_pred = cv env Learner.svm in
   let svm_rank = Metrics.rank_distribution ~pred:svm_pred ~costs:(costs_of svm_ds) in
   Table.to_string t
   ^ String.concat " | " (List.map accuracy columns)
@@ -240,35 +244,22 @@ let table2 env =
 (* Tables 3 and 4                                                      *)
 
 let table3 env =
-  let ranked = Mis.rank ~jobs:env.config.Config.jobs env.dataset_off in
   let t =
     Table.create ~title:"Table 3: best features according to MIS"
       [ ("Rank", Table.Right); ("Feature", Table.Left); ("MIS", Table.Right) ]
   in
-  Array.iteri
+  List.iteri
     (fun i (j, score) ->
-      if i < env.config.Config.mis_k then
-        Table.add_row t
-          [
-            string_of_int (i + 1);
-            env.dataset_off.Dataset.feature_names.(j);
-            Table.cell_float ~decimals:3 score;
-          ])
-    ranked;
+      Table.add_row t
+        [
+          string_of_int (i + 1);
+          env.dataset_off.Dataset.feature_names.(j);
+          Table.cell_float ~decimals:3 score;
+        ])
+    env.selection.mis_top;
   Table.to_string t
 
 let table4 env =
-  let config = env.config in
-  let scaled = Scale.apply (Scale.fit env.dataset_off) env.dataset_off in
-  let nn_picks =
-    Greedy_select.nn_run ~jobs:config.Config.jobs ~telemetry:Telemetry.global
-      ~k:config.Config.greedy_k scaled
-  in
-  let svm_picks =
-    Greedy_select.svm_run ~jobs:config.Config.jobs ~telemetry:Telemetry.global
-      ~kernel:config.Config.svm_kernel ~gamma:config.Config.svm_gamma
-      ~max_examples:300 ~k:config.Config.greedy_k scaled
-  in
   let t =
     Table.create ~title:"Table 4: greedy feature selection (training error)"
       [
@@ -289,11 +280,22 @@ let table4 env =
           env.dataset_off.Dataset.feature_names.(fs);
           Table.cell_float ~decimals:2 es;
         ])
-    (List.combine nn_picks svm_picks);
+    (List.combine env.selection.nn_greedy env.selection.svm_greedy);
   Table.to_string t
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1 and 2: LDA projections                                    *)
+
+(* Rows of a character grid between '|' borders. *)
+let render_grid grid =
+  let buf = Buffer.create 2048 in
+  Array.iter
+    (fun row ->
+      Buffer.add_char buf '|';
+      Array.iter (Buffer.add_char buf) row;
+      Buffer.add_string buf "|\n")
+    grid;
+  Buffer.contents buf
 
 let ascii_scatter ~width ~height points =
   (* points: (x, y, char) *)
@@ -316,14 +318,7 @@ let ascii_scatter ~width ~height points =
         let i = height - 1 - i in
         grid.(i).(j) <- c)
       points;
-    let buf = Buffer.create (width * height) in
-    Array.iter
-      (fun row ->
-        Buffer.add_char buf '|';
-        Array.iter (Buffer.add_char buf) row;
-        Buffer.add_string buf "|\n")
-      grid;
-    Buffer.contents buf
+    render_grid grid
 
 let fig1 env =
   let classes = [| 0; 1; 3; 7 |] in
@@ -416,26 +411,16 @@ let fig2 env =
         if i >= 0 && i < height && j >= 0 && j < width then
           grid.(i).(j) <- (if y = 1 then 'o' else '+'))
       projected;
-    let buf = Buffer.create (width * height) in
-    Array.iter
-      (fun row ->
-        Buffer.add_char buf '|';
-        Array.iter (Buffer.add_char buf) row;
-        Buffer.add_string buf "|\n")
-      grid;
-    let n0 = Array.length (Array.of_list (List.filter (fun (_, y) -> y = 0) kept)) in
+    let n0 = List.length (List.filter (fun (_, y) -> y = 0) kept) in
     let n1 = List.length kept - n0 in
     Printf.sprintf
       "Figure 2: SVM decision regions on LDA plane (binary, margin >= 30%%)\n\
        legend: '+' don't unroll (%d), 'o' unroll (%d), ':' unroll region\n" n0 n1
-    ^ Buffer.contents buf
+    ^ render_grid grid
   end
 
 (* ------------------------------------------------------------------ *)
 (* Figures 4 and 5: realized speedups                                  *)
-
-let speedup_rows env ~swp =
-  Lazy.force (if swp then env.rows_on else env.rows_off)
 
 let learned name (r : Compiler.row) = List.assoc name r.Compiler.learned
 let oracle (r : Compiler.row) = r.Compiler.oracle
@@ -480,34 +465,30 @@ let render_speedups ~title rows =
 let fig4 env =
   render_speedups
     ~title:"Figure 4: realized speedup over ORC's heuristic, SWP disabled"
-    (speedup_rows env ~swp:false)
+    (Lazy.force env.rows_off)
 
 let fig5 env =
   render_speedups
     ~title:"Figure 5: realized speedup over ORC's heuristic, SWP enabled"
-    (speedup_rows env ~swp:true)
+    (Lazy.force env.rows_on)
 
 (* ------------------------------------------------------------------ *)
 
 let summary env =
-  let rows_off = speedup_rows env ~swp:false in
-  let rows_on = speedup_rows env ~swp:true in
+  let rows_off = Lazy.force env.rows_off and rows_on = Lazy.force env.rows_on in
   let agg f rows = Stats.geomean (Array.map f rows) -. 1.0 in
   let svm = learned "svm" in
   let t =
     Table.create ~title:"Summary: paper claim vs this reproduction"
       [ ("Claim", Table.Left); ("Paper", Table.Right); ("Here", Table.Right) ]
   in
-  let ds = scaled_selected env env.dataset_off in
-  let cv l = Learner.cross_validate ~jobs:env.config.Config.jobs l env.config ds in
   let nn_acc =
-    let sub, pred = cv Learner.nn in
+    let sub, pred = cv env Learner.nn in
     Metrics.accuracy ~pred ~truth:(Dataset.labels sub)
   in
   let svm_rank =
-    let sub, pred = cv Learner.svm in
-    Metrics.rank_distribution ~pred
-      ~costs:(Array.map (fun e -> e.Dataset.costs) sub.Dataset.examples)
+    let sub, pred = cv env Learner.svm in
+    Metrics.rank_distribution ~pred ~costs:(costs_of sub)
   in
   let row label paper here = Table.add_row t [ label; paper; here ] in
   row "dataset size (loops surviving filters)" "2500+"
@@ -613,8 +594,11 @@ let ablations env =
   let config = env.config in
   let buf = Buffer.create 1024 in
   let ds = scaled_selected env env.dataset_off in
-  let pairs = Dataset.points ds in
-  let truth = Dataset.labels ds in
+  (* NN LOOCV accuracy over a scaled dataset. *)
+  let nn_accuracy ~radius (d : Dataset.t) =
+    let nn = Knn.train ~radius ~n_classes:d.Dataset.n_classes (Dataset.points d) in
+    Metrics.accuracy ~pred:(Knn.loo_predictions nn) ~truth:(Dataset.labels d)
+  in
   (* NN radius sensitivity. *)
   let t =
     Table.create ~title:"Ablation: near-neighbor radius (LOOCV accuracy)"
@@ -622,12 +606,7 @@ let ablations env =
   in
   List.iter
     (fun r ->
-      let nn = Knn.train ~radius:r ~n_classes:ds.Dataset.n_classes pairs in
-      Table.add_row t
-        [
-          Table.cell_float ~decimals:2 r;
-          Table.cell_pct (Metrics.accuracy ~pred:(Knn.loo_predictions nn) ~truth);
-        ])
+      Table.add_row t [ Table.cell_float ~decimals:2 r; Table.cell_pct (nn_accuracy ~radius:r ds) ])
     [ 0.0; 0.2; 0.35; 0.5; 0.7; 1.0; 1.5 ];
   Buffer.add_string buf (Table.to_string t);
   (* Output codes. *)
@@ -657,13 +636,7 @@ let ablations env =
   Buffer.add_string buf (Table.to_string t);
   (* Feature subset vs the full set. *)
   let eval_features features =
-    let ds0 = Dataset.select_features env.dataset_off features in
-    let scaled = Scale.apply (Scale.fit ds0) ds0 in
-    let nn =
-      Knn.train ~radius:config.Config.knn_radius ~n_classes:ds0.Dataset.n_classes
-        (Dataset.points scaled)
-    in
-    Metrics.accuracy ~pred:(Knn.loo_predictions nn) ~truth:(Dataset.labels scaled)
+    nn_accuracy ~radius:config.Config.knn_radius (scaled_subset features env.dataset_off)
   in
   let t =
     Table.create ~title:"Ablation: feature subset (NN LOOCV accuracy, paper 7)"
@@ -678,23 +651,15 @@ let ablations env =
   Table.add_row t
     [
       "MIS + greedy union";
-      string_of_int (Array.length env.selected);
-      Table.cell_pct (eval_features env.selected);
+      string_of_int (Array.length env.selection.selected);
+      Table.cell_pct (eval_features env.selection.selected);
     ];
   Buffer.add_string buf (Table.to_string t);
   (* Binary problem (Monsifrot et al., paper 9).  Tree LOOCV retrains per
      example, so bound the sample. *)
   let binary_pairs =
-    Array.map (fun (x, y) -> (x, if y = 0 then 0 else 1)) pairs
-  in
-  let binary_pairs =
-    let n = Array.length binary_pairs in
-    let cap = 500 in
-    if n <= cap then binary_pairs
-    else begin
-      let stride = float_of_int n /. float_of_int cap in
-      Array.init cap (fun i -> binary_pairs.(int_of_float (float_of_int i *. stride)))
-    end
+    Array.map (fun (x, y) -> (x, if y = 0 then 0 else 1))
+      (Dataset.points (Dataset.subsample ~cap:500 ds))
   in
   let n = Array.length binary_pairs in
   let tree_hits = ref 0 in
@@ -707,15 +672,11 @@ let ablations env =
       let tree = Decision_tree.train ~max_depth:4 ~n_classes:2 rest in
       if Decision_tree.predict tree x = y then incr tree_hits)
     binary_pairs;
-  let always = Array.length (Array.of_list (List.filter (fun (_, y) -> y = 1) (Array.to_list binary_pairs))) in
+  let always = Array.fold_left (fun acc (_, y) -> acc + y) 0 binary_pairs in
   (* Boosted trees, evaluated on a deterministic split (LOO x rounds of
      boosting would be quadratic). *)
-  let train_b, test_b =
-    let n = Array.length binary_pairs in
-    ( Array.of_list (List.filteri (fun i _ -> i mod 2 = 0) (Array.to_list binary_pairs)),
-      Array.of_list (List.filteri (fun i _ -> i mod 2 = 1) (Array.to_list binary_pairs))
-      |> fun a -> if n < 4 then binary_pairs else a )
-  in
+  let half r = Array.of_list (List.filteri (fun i _ -> i mod 2 = r) (Array.to_list binary_pairs)) in
+  let train_b = half 0 and test_b = if n < 4 then binary_pairs else half 1 in
   let boosted = Boost.train ~rounds:25 ~n_classes:2 train_b in
   let boost_hits =
     Array.fold_left
@@ -746,10 +707,9 @@ let ablations env =
   let groups = Dataset.groups ds in
   let train_groups = List.filteri (fun i _ -> i mod 2 = 0) groups in
   let is_train (e : Dataset.example) = List.mem e.Dataset.group train_groups in
-  let train_ex = Array.of_list (List.filter is_train (Array.to_list ds.Dataset.examples)) in
-  let test_ex =
-    Array.of_list
-      (List.filter (fun e -> not (is_train e)) (Array.to_list ds.Dataset.examples))
+  let train_ex, test_ex =
+    let train, test = List.partition is_train (Array.to_list ds.Dataset.examples) in
+    (Array.of_list train, Array.of_list test)
   in
   if Array.length train_ex >= 8 && Array.length test_ex >= 8 then begin
     let rows =
@@ -811,7 +771,7 @@ let paper_timing =
 
 let timing env =
   let config = env.config in
-  let ds = env.dataset_off in
+  let ds = env.dataset_off and selected = env.selection.selected in
   let t =
     Table.create ~title:"Section 5 timings: training and per-query cost"
       [
@@ -829,10 +789,10 @@ let timing env =
         Dataset.size
           (match L.fit_cap config with Some cap -> Dataset.subsample ~cap ds | None -> ds)
       in
-      let fit () = Learner.fit ~jobs:config.Config.jobs l config ~features:env.selected ds in
+      let fit () = Learner.fit ~jobs:config.Config.jobs l config ~features:selected ds in
       let scaler, model = fit () in
       let fit_s = mean_seconds ~budget:0.5 (fun () -> ignore (fit ())) in
-      let points = Dataset.points (Scale.apply scaler (Dataset.select_features ds env.selected)) in
+      let points = Dataset.points (Scale.apply scaler (Dataset.select_features ds selected)) in
       let classify_s =
         mean_seconds ~budget:0.25 (fun () ->
             Array.iter (fun (x, _) -> ignore (Learner.classify model x)) points)
@@ -847,13 +807,15 @@ let timing env =
           Option.value ~default:"n/a" (List.assoc_opt (Learner.name l) paper_timing);
         ])
     Learner.all;
-  (* Cold extraction: every pass starts from an empty dependence-graph
-     memo, as a compiler meeting each loop once would. *)
+  (* Cold extraction, as a compiler meeting each loop once would: a private
+     memo that never stores, counting into its own sink, so the global
+     memo and its telemetry stay as they were. *)
   let loops = Suite.all_loops env.benchmarks |> List.map snd in
+  let cold = Deps_memo.create ~capacity:0 ~telemetry:(Telemetry.create ()) () in
   let extract_s =
     mean_seconds ~budget:0.25 (fun () ->
-        Deps_memo.clear Deps_memo.global;
-        List.iter (fun loop -> ignore (Features.extract config.Config.machine loop)) loops)
+        List.iter (fun loop -> ignore (Features.extract ~memo:cold config.Config.machine loop))
+          loops)
     /. float_of_int (List.length loops)
   in
   Table.add_row t

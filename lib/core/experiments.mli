@@ -1,12 +1,24 @@
 (** Reproduction drivers: one per table and figure of the paper's
     evaluation.
 
-    [build_env] performs the heavy, shared work once — generating the
-    72-benchmark suite, sweeping every loop at factors 1..8 with software
-    pipelining disabled and enabled, building the filtered datasets, and
-    running feature selection.  Each experiment then renders its table or
-    figure as text (ASCII plots for the figures), shaped after the paper's
-    artefact. *)
+    [build_env] performs the heavy, shared work once and holds every
+    result more than one experiment reads: the 72-benchmark suite swept at
+    factors 1..8 with software pipelining disabled and enabled, the
+    filtered datasets of both label spaces, the §7 feature selection, one
+    cross-validation per learner and the speedup rows (the last two lazy).
+    Each experiment then renders its table or figure from them as text
+    (ASCII plots for the figures), shaped after the paper's artefact.
+    {!Train} calls the same selection and cross-validation functions. *)
+
+(** §7's feature selection, with the per-step results of Tables 3 and 4. *)
+type selection = {
+  mis_top : (int * float) list;     (** MIS top-[mis_k], with scores *)
+  nn_greedy : (int * float) list;   (** greedy 1-NN picks, with training error *)
+  svm_greedy : (int * float) list;  (** greedy LS-SVM picks, with training error *)
+  selected : int array;
+  (** the committed subset: the union of the lists above, in
+      first-appearance order *)
+}
 
 type env = {
   config : Config.t;
@@ -16,38 +28,49 @@ type env = {
   merged : Labeling.labeled array;
   (** positionally merged off++on sweep ({!Labeling.merge_joint}): every
       loop with its 16 joint cycle counts *)
-  filtered_off : Labeling.labeled array; (** filter-surviving, dataset order *)
-  filtered_on : Labeling.labeled array;
   dataset_off : Dataset.t;
   dataset_on : Dataset.t;
-  dataset_joint : Dataset.t;             (** 16-class joint-label dataset *)
-  selected : int array;
-  (** feature subset used for classification (§7: union of the MIS top-k
-      and the greedy picks for both classifiers) *)
+  dataset_joint : Dataset.t;             (** 16-class, built from [merged] *)
+  selection : selection;                 (** over [dataset_off] *)
+  cv : (Learner.t * (Dataset.t * int array) Lazy.t) list;
+  (** {!cross_validations} of [dataset_off] *)
   rows_off : Compiler.row array Lazy.t;
   rows_on : Compiler.row array Lazy.t;
   rows_joint : Compiler.row array Lazy.t;
   (** per-benchmark speedups over the ORC baseline from
-      {!Compiler.speedup_rows} (single-space and joint engines), computed on first demand and shared between the figure
-      drivers, {!joint} and {!summary} *)
+      {!Compiler.speedup_rows} (single-space and joint engines), computed
+      on first demand and shared between the figure drivers, {!joint} and
+      {!summary} *)
 }
 
 val build_env : ?progress:bool -> Config.t -> env
 (** [progress] (default true) prints coarse progress to stderr. *)
 
+val info : bool -> ('a, out_channel, unit) format -> 'a
+(** [info progress fmt ...] prints a line to stderr when [progress] holds. *)
+
 val select_feature_subset :
   ?progress:bool -> ?warm:Greedy_select.Warm.t -> Config.t -> Dataset.t ->
-  int array
-(** §7's committed feature subset: the union (first-appearance order) of
-    the MIS top-[mis_k] features and the greedy picks of both the NN and
-    the SVM.  Shared by {!build_env} and the {!Train} pipeline so the
-    experiments and a deployed artifact select identically.
+  selection
+(** §7's feature selection over an unscaled dataset: the MIS top-[mis_k]
+    features, the greedy picks of the NN and the SVM on the scaled
+    dataset, and their union.  Shared by {!build_env} and the {!Train}
+    pipeline so the experiments and a deployed artifact select
+    identically.
 
     [warm] supplies a {!Greedy_select.Warm} cache for the greedy-NN leg —
     identical picks, warm-started when the scaled dataset extends the
     previous call's.  The greedy-SVM leg always re-runs in full (its
     deterministic subsample re-strides as the dataset grows, so no
     incremental bound applies). *)
+
+val cross_validations :
+  jobs:int -> Config.t -> selected:int array -> Dataset.t ->
+  (Learner.t * (Dataset.t * int array) Lazy.t) list
+(** Every learner's {!Learner.cross_validate} over the dataset restricted
+    to [selected] and scaled — the protocol of Table 2, the summary and
+    [Train]'s model choice.  Nothing runs until a learner's entry is
+    forced. *)
 
 val fig1 : env -> string
 (** Near-neighbor classification on LDA-projected data (4 classes, ≥30%
@@ -65,10 +88,11 @@ val table2 : env -> string
     the misprediction cost column. *)
 
 val table3 : env -> string
-(** Top features by mutual information score. *)
+(** Top features by mutual information score ([selection.mis_top]). *)
 
 val table4 : env -> string
-(** Top features by greedy selection for 1-NN and the SVM. *)
+(** Top features by greedy selection for 1-NN and the SVM
+    ([selection.nn_greedy] and [selection.svm_greedy]). *)
 
 val fig4 : env -> string
 (** Per-benchmark speedup over ORC, SWP disabled (every learner and the
@@ -101,9 +125,11 @@ val ablations : env -> string
 val timing : env -> string
 (** §5's timing claims: for every {!Learner}, the number of examples
     {!Learner.fit} trains on after its [fit_cap], the wall time of that
-    fit on [dataset_off] restricted to [selected], and the mean
+    fit on [dataset_off] restricted to [selection.selected], and the mean
     {!Learner.classify} time per scaled point; then the mean cold
-    {!Features.extract} time per suite loop.  The paper's claim sits
+    {!Features.extract} time per suite loop, timed on a private memo that
+    never stores, so {!Deps_memo.global} and its telemetry are left as
+    they were.  The paper's claim sits
     beside each row.  Wall-clock figures, so not deterministic. *)
 
 val all : env -> string

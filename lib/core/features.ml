@@ -102,9 +102,9 @@ let live_range_stats (loop : Loop.t) =
   done;
   (avg_len, float_of_int !pressure)
 
-let extract machine (loop : Loop.t) =
+let extract ?memo machine (loop : Loop.t) =
   let latency op = Machine.latency machine op in
-  let deps = Deps_memo.deps machine loop in
+  let deps = Deps_memo.deps ?memo machine loop in
   let stats = Dag.analyze deps (fun i -> latency loop.Loop.body.(i)) in
   let f = float_of_int in
   let fdivs =

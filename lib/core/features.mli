@@ -19,5 +19,6 @@ val count : int
 val index_of : string -> int
 (** Index of a feature by name; raises [Not_found] for unknown names. *)
 
-val extract : Machine.t -> Loop.t -> float array
-(** The feature vector of a loop (length {!count}). *)
+val extract : ?memo:Deps_memo.t -> Machine.t -> Loop.t -> float array
+(** The feature vector of a loop (length {!count}).  The dependence graph
+    comes from [memo] (default {!Deps_memo.global}). *)

@@ -113,27 +113,12 @@ let merge_joint ~off ~on =
       { o with cycles = Array.append o.cycles s.cycles })
     off on
 
-let to_joint_dataset ?(filtered = true) (config : Config.t) ~off ~on =
-  let merged = merge_joint ~off ~on in
-  let keep =
-    if filtered then List.filter passes_filters (Array.to_list merged)
-    else Array.to_list merged
-  in
-  let examples =
-    List.map
-      (fun l ->
-        {
-          Dataset.features = Features.extract config.Config.machine l.loop;
-          label = Stats.min_index (Array.map float_of_int l.cycles);
-          tag = l.loop.Loop.name;
-          group = l.bench;
-          costs = Array.map float_of_int l.cycles;
-        })
-      keep
-  in
-  Dataset.create ~feature_names:Features.names ~n_classes:Joint.classes examples
-
 let to_dataset ?(filtered = true) (config : Config.t) labeled =
+  (* A loop's label is the argmin of its cycle array in either space:
+     factor - 1 over 8 entries, the joint class over 16 merged ones. *)
+  let n_classes =
+    if Array.length labeled = 0 then Unroll.max_factor else Array.length labeled.(0).cycles
+  in
   let keep =
     if filtered then List.filter passes_filters (Array.to_list labeled)
     else Array.to_list labeled
@@ -141,13 +126,14 @@ let to_dataset ?(filtered = true) (config : Config.t) labeled =
   let examples =
     List.map
       (fun l ->
+        let costs = Array.map float_of_int l.cycles in
         {
           Dataset.features = Features.extract config.Config.machine l.loop;
-          label = best_factor l - 1;
+          label = Stats.min_index costs;
           tag = l.loop.Loop.name;
           group = l.bench;
-          costs = Array.map float_of_int l.cycles;
+          costs;
         })
       keep
   in
-  Dataset.create ~feature_names:Features.names ~n_classes:Unroll.max_factor examples
+  Dataset.create ~feature_names:Features.names ~n_classes examples

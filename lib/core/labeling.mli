@@ -7,13 +7,16 @@
     exits, §4.6), loops must
     run for at least 50,000 cycles (measurement noise otherwise dominates),
     and the optimal factor must beat the mean over all factors by at least
-    1.05x (flat loops teach nothing). *)
+    1.05x (flat loops teach nothing).  The joint (unroll factor × SWP)
+    space labels {!merge_joint}ed sweeps with the same {!to_dataset}. *)
 
 type labeled = {
   bench : string;
   loop : Loop.t;
   weight : float;          (** runtime weight within its benchmark *)
-  cycles : int array;      (** measured cycles per factor, index 0 = u1 *)
+  cycles : int array;
+  (** measured cycles per factor, index 0 = u1; 16 entries (SWP off, then
+      on) after {!merge_joint} *)
 }
 
 val best_factor : labeled -> int
@@ -51,11 +54,6 @@ val collect :
     perturbs nothing).  Resume skips and fresh measurements are counted
     in {!Telemetry.global} under ["label-store"]. *)
 
-val to_dataset : ?filtered:bool -> Config.t -> labeled array -> Dataset.t
-(** Feature extraction + labelling.  [filtered] (default true) applies
-    {!passes_filters}.  Labels are 0-based (factor − 1); costs are the
-    measured cycles. *)
-
 (** The joint (unroll factor × SWP on/off) decision space: 16 classes laid
     out to mirror the concatenated cost array [off ++ on] — classes 0..7
     are factors 1..8 with SWP off, 8..15 the same factors with SWP on. *)
@@ -77,9 +75,13 @@ val merge_joint : off:labeled array -> on:labeled array -> labeled array
     cycles).  Raises [Invalid_argument] if the sweeps differ in length or
     loop identity at any index. *)
 
-val to_joint_dataset :
-  ?filtered:bool -> Config.t -> off:labeled array -> on:labeled array -> Dataset.t
-(** {!to_dataset} over the joint space: labels are
-    [Joint.encode] indices of the cheapest (factor, swp) coordinate,
-    costs the 16 merged cycle counts.  Filters apply to the merged cost
-    array (best and mean taken over both SWP settings). *)
+val to_dataset : ?filtered:bool -> Config.t -> labeled array -> Dataset.t
+(** Feature extraction + labelling, for either label space.  A loop's
+    label is the argmin of its cycle array and its costs are the measured
+    cycles, so an 8-entry sweep gives factor − 1 labels over
+    {!Unroll.max_factor} classes and a {!merge_joint} sweep gives
+    {!Joint.encode} labels over {!Joint.classes}.  The class count is the
+    width of the cycle arrays ({!Unroll.max_factor} for an empty array).
+    [filtered] (default true) applies {!passes_filters} to the cycle
+    array as given (over a merged sweep, best and mean span both SWP
+    settings). *)

@@ -21,8 +21,7 @@ type report = {
   dataset_digest : string;
 }
 
-let info progress fmt =
-  if progress then Printf.eprintf (fmt ^^ "\n%!") else Printf.ifprintf stderr fmt
+let info = Experiments.info
 
 let cv_summary scores =
   String.concat ", " (List.map (fun (name, s) -> Printf.sprintf "%s %.3f" name s) scores)
@@ -30,14 +29,12 @@ let cv_summary scores =
 (* Score every learner by its own cross-validation on the committed
    subset — the same protocol as Table 2 — to pick the artifact that
    would have won in-process. *)
-let cv_scores ~jobs (config : Config.t) ds selected =
-  let dss = Dataset.select_features ds selected in
-  let scaled = Scale.apply (Scale.fit dss) dss in
+let cv_scores ~jobs config ds selected =
   List.map
-    (fun l ->
-      let sub, pred = Learner.cross_validate ~jobs l config scaled in
+    (fun (l, cv) ->
+      let sub, pred = Lazy.force cv in
       (l, Metrics.accuracy ~pred ~truth:(Dataset.labels sub)))
-    Learner.all
+    (Experiments.cross_validations ~jobs config ~selected ds)
 
 (* Ties preserve the pre-MLP precedence: the SVM (the paper's overall
    winner) holds the choice unless another learner strictly beats the
@@ -61,7 +58,7 @@ let fit ?(progress = false) ?warm ?(label_space = Model_artifact.Factor) ~loocv
   let dataset_digest = Dataset.digest ds in
   info progress "train: %d/%d loops survive filters (digest %s)" (Dataset.size ds)
     measured dataset_digest;
-  let selected = Experiments.select_feature_subset ~progress ?warm config ds in
+  let selected = (Experiments.select_feature_subset ~progress ?warm config ds).selected in
   info progress "train: %d features committed" (Array.length selected);
   let scores =
     (* A forced model choice does not need the comparison to pick a
@@ -88,35 +85,30 @@ let fit ?(progress = false) ?warm ?(label_space = Model_artifact.Factor) ~loocv
       dataset_digest;
     } )
 
-let run ?(progress = false) ?journal (config : Config.t) ~swp ~model =
-  let jobs = config.Config.jobs in
+(* Generate the suite and return its sweeper: one labelled sweep per SWP
+   setting, printing progress under [label]. *)
+let suite_sweep ~progress ?journal (config : Config.t) =
   info progress "train: generating suite (scale %.2f)" config.Config.scale;
   let benchmarks = Suite.full ~scale:config.Config.scale ~seed:config.Config.seed in
-  let tick ~done_ ~total =
-    if progress && (done_ mod (max 1 (total / 10)) = 0 || done_ = total) then
-      Printf.eprintf "  sweep: %d/%d\n%!" done_ total
-  in
-  let labeled = Labeling.collect ~progress:tick ~jobs ?journal config ~swp benchmarks in
+  fun label ~swp ->
+    let tick ~done_ ~total =
+      if progress && (done_ mod (max 1 (total / 10)) = 0 || done_ = total) then
+        Printf.eprintf "  %s: %d/%d\n%!" label done_ total
+    in
+    Labeling.collect ~progress:tick ~jobs:config.Config.jobs ?journal config ~swp benchmarks
+
+let run ?(progress = false) ?journal (config : Config.t) ~swp ~model =
+  let labeled = suite_sweep ~progress ?journal config "sweep" ~swp in
   let ds = Labeling.to_dataset config labeled in
   fit ~progress ~loocv:true config ~model ~measured:(Array.length labeled) ds
 
 let run_joint ?(progress = false) ?journal (config : Config.t) ~model =
   (* Both SWP coordinates of every loop; one journal holds both sweeps
      (their keys differ in the swp field). *)
-  let jobs = config.Config.jobs in
-  info progress "train: generating suite (scale %.2f)" config.Config.scale;
-  let benchmarks = Suite.full ~scale:config.Config.scale ~seed:config.Config.seed in
-  let tick label ~done_ ~total =
-    if progress && (done_ mod (max 1 (total / 10)) = 0 || done_ = total) then
-      Printf.eprintf "  sweep %s: %d/%d\n%!" label done_ total
-  in
-  let off =
-    Labeling.collect ~progress:(tick "swp-off") ~jobs ?journal config ~swp:false benchmarks
-  in
-  let on =
-    Labeling.collect ~progress:(tick "swp-on") ~jobs ?journal config ~swp:true benchmarks
-  in
-  let ds = Labeling.to_joint_dataset config ~off ~on in
+  let sweep = suite_sweep ~progress ?journal config in
+  let off = sweep "sweep swp-off" ~swp:false in
+  let on = sweep "sweep swp-on" ~swp:true in
+  let ds = Labeling.to_dataset config (Labeling.merge_joint ~off ~on) in
   fit ~progress ~label_space:Model_artifact.Joint ~loocv:true config ~model
     ~measured:(Array.length off) ds
 

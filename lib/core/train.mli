@@ -48,9 +48,9 @@ val run_joint :
   Config.t -> model:model_choice -> Model_artifact.t * report
 (** {!run} over the joint (unroll factor × SWP) decision space: sweeps
     the suite at both SWP settings (one journal serves both — sweep keys
-    differ in the swp coordinate), builds the 16-class
-    {!Labeling.to_joint_dataset}, and stamps the artifact
-    [label-space joint]. *)
+    differ in the swp coordinate), builds the 16-class dataset with
+    {!Labeling.to_dataset} over {!Labeling.merge_joint}, and stamps the
+    artifact [label-space joint]. *)
 
 (** {1 Online training}
 

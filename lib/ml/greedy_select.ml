@@ -93,24 +93,9 @@ let nn_training_error (ds : Dataset.t) subset =
     float_of_int !errs /. float_of_int (Array.length pts)
   end
 
-let subsample (ds : Dataset.t) max_examples =
-  let n = Dataset.size ds in
-  if n <= max_examples then ds
-  else begin
-    (* Deterministic stride-based subsample preserving class mix. *)
-    let stride = float_of_int n /. float_of_int max_examples in
-    let keep =
-      List.init max_examples (fun i -> int_of_float (float_of_int i *. stride))
-    in
-    {
-      ds with
-      Dataset.examples = Array.of_list (List.map (fun i -> ds.Dataset.examples.(i)) keep);
-    }
-  end
-
 let svm_training_error ?(kernel = Kernel.Rbf 0.5) ?(gamma = 16.0) ?(max_examples = 400)
     (ds : Dataset.t) subset =
-  let ds = subsample ds max_examples in
+  let ds = Dataset.subsample ~cap:max_examples ds in
   let pairs =
     Array.map (fun e -> (project e subset, e.Dataset.label)) ds.Dataset.examples
   in
@@ -140,7 +125,7 @@ let svm_run ?jobs ?telemetry ?(kernel = Kernel.Rbf 0.5) ?(gamma = 16.0)
     ?(max_examples = 400) ~k (ds : Dataset.t) =
   match kernel with
   | Kernel.Rbf rbf_gamma ->
-    let ds = subsample ds max_examples in
+    let ds = Dataset.subsample ~cap:max_examples ds in
     let n_classes = ds.Dataset.n_classes in
     let engine, labels = Pairwise.of_dataset ds in
     run_pairwise ?jobs ?telemetry ~name:"svm" ~k engine (fun cand ->

@@ -25,7 +25,7 @@ val svm_training_error :
   int list -> float
 (** Training error of the one-vs-rest LS-SVM on a feature subset.  For
     tractability at most [max_examples] (default 400) examples participate
-    (deterministic stratified subsample). *)
+    ({!Dataset.subsample}, a deterministic stride). *)
 
 (** {1 Pairwise-engine selections}
 

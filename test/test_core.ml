@@ -223,24 +223,59 @@ let test_compiler_speedup_oracle_dominates () =
 
 (* --- Experiments (integration, slow) --- *)
 
+let experiments_env = lazy (Experiments.build_env ~progress:false config)
+
 let test_experiments_end_to_end () =
-  let env = Experiments.build_env ~progress:false config in
-  List.iter
-    (fun (name, s) ->
-      Alcotest.(check bool) (name ^ " non-empty") true (String.length s > 40))
+  (* The fixture is `experiment all --fast --scale 0.06 --runs 3` (this
+     suite's config) up to its wall-clock timing table: every
+     deterministic experiment in paper order, each followed by the blank
+     separator line [Experiments.all] puts between them. *)
+  let env = Lazy.force experiments_env in
+  let expected =
+    In_channel.with_open_bin (Test_store.fixture "experiment_all_fast_s006.txt") In_channel.input_all
+  in
+  let pos =
+    List.fold_left
+      (fun pos (name, s) ->
+        let s = s ^ "\n" in
+        let n = min (String.length s) (String.length expected - pos) in
+        Alcotest.(check string) (name ^ " matches the fixture") (String.sub expected pos n) s;
+        pos + n)
+      0
+      [
+        ("fig1", Experiments.fig1 env);
+        ("fig2", Experiments.fig2 env);
+        ("fig3", Experiments.fig3 env);
+        ("table2", Experiments.table2 env);
+        ("table3", Experiments.table3 env);
+        ("table4", Experiments.table4 env);
+        ("fig4", Experiments.fig4 env);
+        ("fig5", Experiments.fig5 env);
+        ("joint", Experiments.joint env);
+        ("summary", Experiments.summary env);
+        ("ablations", Experiments.ablations env);
+      ]
+  in
+  Alcotest.(check int) "fixture fully matched" (String.length expected) pos
+
+let test_experiments_timing_keeps_deps_memo () =
+  (* The cold-extraction timing must not touch the global dependence-graph
+     memo, or the deps-memo counters of a run would depend on how many
+     passes fit in the wall-clock budget. *)
+  let env = Lazy.force experiments_env in
+  let counters () =
     [
-      ("fig1", Experiments.fig1 env);
-      ("fig2", Experiments.fig2 env);
-      ("fig3", Experiments.fig3 env);
-      ("table2", Experiments.table2 env);
-      ("table3", Experiments.table3 env);
-      ("table4", Experiments.table4 env);
-      ("fig4", Experiments.fig4 env);
-      ("fig5", Experiments.fig5 env);
-      ("summary", Experiments.summary env);
-      ("ablations", Experiments.ablations env);
-      ("timing", Experiments.timing env);
+      Deps_memo.hits Deps_memo.global;
+      Deps_memo.misses Deps_memo.global;
+      Telemetry.counter Telemetry.global ~pass:"deps-memo" "hits";
+      Telemetry.counter Telemetry.global ~pass:"deps-memo" "misses";
     ]
+  in
+  let before = counters () in
+  let out = Experiments.timing env in
+  Alcotest.(check bool) "timing table rendered" true (String.length out > 40);
+  Alcotest.(check (list int)) "global deps-memo hits and misses unchanged" before
+    (counters ())
 
 (* --- retargeting sanity: different machines, different labels --- *)
 
@@ -361,7 +396,7 @@ let test_joint_merge_layout () =
 
 let test_joint_dataset_labels_are_argmin () =
   let off = Lazy.force labeled_cache and on = Lazy.force labeled_on_cache in
-  let ds = Labeling.to_joint_dataset config ~off ~on in
+  let ds = Labeling.to_dataset config (Labeling.merge_joint ~off ~on) in
   Alcotest.(check int) "16-way" 16 ds.Dataset.n_classes;
   Array.iter
     (fun (e : Dataset.example) ->
@@ -378,7 +413,7 @@ let test_joint_folds_match_factor_folds () =
      are comparable example for example. *)
   let off = Lazy.force labeled_cache and on = Lazy.force labeled_on_cache in
   let single = Labeling.to_dataset ~filtered:false config off in
-  let joint = Labeling.to_joint_dataset ~filtered:false config ~off ~on in
+  let joint = Labeling.to_dataset ~filtered:false config (Labeling.merge_joint ~off ~on) in
   Alcotest.(check int) "same size" (Dataset.size single) (Dataset.size joint);
   Array.iteri
     (fun i (e : Dataset.example) ->
@@ -548,6 +583,7 @@ let suite =
     ("predictor learned", `Slow, test_predictor_learned_roundtrip);
     ("compiler oracle dominates", `Slow, test_compiler_speedup_oracle_dominates);
     ("experiments end to end", `Slow, test_experiments_end_to_end);
+    ("experiments timing keeps deps memo", `Slow, test_experiments_timing_keeps_deps_memo);
     ("joint encode/decode", `Quick, test_joint_encode_decode_roundtrip);
     ("joint merge layout", `Slow, test_joint_merge_layout);
     ("joint dataset argmin labels", `Slow, test_joint_dataset_labels_are_argmin);
