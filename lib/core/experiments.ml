@@ -88,9 +88,17 @@ let build_env ?(progress = true) (config : Config.t) =
       ~swp:true benchmarks
   in
   let merged = Labeling.merge_joint ~off:labeled_off ~on:labeled_on in
-  let dataset_off = Labeling.to_dataset config labeled_off in
-  let dataset_on = Labeling.to_dataset config labeled_on in
-  let dataset_joint = Labeling.to_dataset config merged in
+  (* The three datasets hold the same loops by position (a merged row keeps
+     its SWP-off loop), so each loop is featurised at most once. *)
+  let cached =
+    Array.map
+      (fun (l : Labeling.labeled) -> lazy (Features.extract config.Config.machine l.loop))
+      labeled_off
+  in
+  let features i = Lazy.force cached.(i) in
+  let dataset_off = Labeling.to_dataset ~features config labeled_off in
+  let dataset_on = Labeling.to_dataset ~features config labeled_on in
+  let dataset_joint = Labeling.to_dataset ~features config merged in
   info progress "dataset: %d/%d loops survive filters (swp off), %d (swp on)"
     (Dataset.size dataset_off) count (Dataset.size dataset_on);
   let selection = select_feature_subset ~progress config dataset_off in

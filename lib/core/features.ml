@@ -104,7 +104,7 @@ let live_range_stats (loop : Loop.t) =
 
 let extract ?memo machine (loop : Loop.t) =
   let latency op = Machine.latency machine op in
-  let deps = Deps_memo.deps ?memo machine loop in
+  let deps = Deps_memo.get ?memo machine loop in
   let stats = Dag.analyze deps (fun i -> latency loop.Loop.body.(i)) in
   let f = float_of_int in
   let fdivs =

@@ -113,27 +113,32 @@ let merge_joint ~off ~on =
       { o with cycles = Array.append o.cycles s.cycles })
     off on
 
-let to_dataset ?(filtered = true) (config : Config.t) labeled =
+let to_dataset ?(filtered = true) ?features (config : Config.t) labeled =
   (* A loop's label is the argmin of its cycle array in either space:
      factor - 1 over 8 entries, the joint class over 16 merged ones. *)
   let n_classes =
     if Array.length labeled = 0 then Unroll.max_factor else Array.length labeled.(0).cycles
   in
-  let keep =
-    if filtered then List.filter passes_filters (Array.to_list labeled)
-    else Array.to_list labeled
+  let features =
+    match features with
+    | Some f -> f
+    | None -> fun i -> Features.extract config.Config.machine labeled.(i).loop
   in
   let examples =
-    List.map
-      (fun l ->
-        let costs = Array.map float_of_int l.cycles in
-        {
-          Dataset.features = Features.extract config.Config.machine l.loop;
-          label = Stats.min_index costs;
-          tag = l.loop.Loop.name;
-          group = l.bench;
-          costs;
-        })
-      keep
+    List.filter_map
+      (fun i ->
+        let l = labeled.(i) in
+        if filtered && not (passes_filters l) then None
+        else
+          let costs = Array.map float_of_int l.cycles in
+          Some
+            {
+              Dataset.features = features i;
+              label = Stats.min_index costs;
+              tag = l.loop.Loop.name;
+              group = l.bench;
+              costs;
+            })
+      (List.init (Array.length labeled) Fun.id)
   in
   Dataset.create ~feature_names:Features.names ~n_classes examples

@@ -75,7 +75,8 @@ val merge_joint : off:labeled array -> on:labeled array -> labeled array
     cycles).  Raises [Invalid_argument] if the sweeps differ in length or
     loop identity at any index. *)
 
-val to_dataset : ?filtered:bool -> Config.t -> labeled array -> Dataset.t
+val to_dataset :
+  ?filtered:bool -> ?features:(int -> float array) -> Config.t -> labeled array -> Dataset.t
 (** Feature extraction + labelling, for either label space.  A loop's
     label is the argmin of its cycle array and its costs are the measured
     cycles, so an 8-entry sweep gives factor − 1 labels over
@@ -84,4 +85,7 @@ val to_dataset : ?filtered:bool -> Config.t -> labeled array -> Dataset.t
     width of the cycle arrays ({!Unroll.max_factor} for an empty array).
     [filtered] (default true) applies {!passes_filters} to the cycle
     array as given (over a merged sweep, best and mean span both SWP
-    settings). *)
+    settings).  [features i] is the feature vector of the loop at position
+    [i] (default: {!Features.extract} on the config's machine), asked only
+    for loops that survive; callers building several datasets over the
+    same loops pass one cached function. *)

@@ -12,45 +12,41 @@ type stats = {
   recurrence_latency : int;
 }
 
-let is_mem_kind = function
-  | Deps.Mem_flow | Deps.Mem_anti | Deps.Mem_output -> true
-  | Deps.Reg_flow | Deps.Reg_anti | Deps.Reg_output | Deps.Control | Deps.Serial -> false
-
-(* Reverse topological order of the distance-0 subgraph restricted to edges
-   satisfying [keep].  The distance-0 graph of a valid loop is acyclic. *)
-let topo_order (deps : Deps.t) keep =
-  let n = deps.Deps.n in
+(* Distance-0 ops in reverse topological order (sinks first) of the
+   subgraph of edges satisfying [keep].  The distance-0 graph of a valid
+   loop is acyclic. *)
+let sinks_first (g : Deps.csr) keep =
+  let n = g.Deps.csr_n in
   let visited = Array.make n false in
-  let order = ref [] in
+  let order = Array.make n 0 and filled = ref 0 in
   let rec visit v =
     if not visited.(v) then begin
       visited.(v) <- true;
-      List.iter
-        (fun (e : Deps.edge) -> if e.Deps.distance = 0 && keep e then visit e.Deps.dst)
-        deps.Deps.succs.(v);
-      order := v :: !order
+      for k = g.Deps.succ_off.(v) to g.Deps.succ_off.(v + 1) - 1 do
+        let e = g.Deps.succ_edge.(k) in
+        if g.Deps.e_dist.(e) = 0 && keep e then visit g.Deps.e_dst.(e)
+      done;
+      order.(!filled) <- v;
+      incr filled
     end
   in
   for v = 0 to n - 1 do
     visit v
   done;
-  !order (* sources first *)
+  order
 
 (* Latency-weighted longest path over the kept distance-0 edges. *)
-let heights (deps : Deps.t) op_latency keep =
-  let n = deps.Deps.n in
-  let h = Array.make n 0 in
-  let order = List.rev (topo_order deps keep) in
-  (* sinks first *)
-  List.iter
+let heights (g : Deps.csr) op_latency keep =
+  let h = Array.make g.Deps.csr_n 0 in
+  Array.iter
     (fun v ->
       let best = ref 0 in
-      List.iter
-        (fun (e : Deps.edge) ->
-          if e.Deps.distance = 0 && keep e then best := max !best h.(e.Deps.dst))
-        deps.Deps.succs.(v);
+      for k = g.Deps.succ_off.(v) to g.Deps.succ_off.(v + 1) - 1 do
+        let e = g.Deps.succ_edge.(k) in
+        if g.Deps.e_dist.(e) = 0 && keep e then best := max !best h.(g.Deps.e_dst.(e))
+      done;
       h.(v) <- op_latency v + !best)
-    order;
+    (sinks_first g keep);
   h
 
 let union_find n =
@@ -62,130 +58,131 @@ let union_find n =
   in
   (find, union)
 
-let analyze (deps : Deps.t) op_latency =
-  let n = deps.Deps.n in
-  let keep_flow (e : Deps.edge) = e.Deps.dkind = Deps.Reg_flow in
-  let keep_data (e : Deps.edge) =
-    match e.Deps.dkind with
+let analyze (g : Deps.csr) op_latency =
+  let n = g.Deps.csr_n in
+  let kind e = Deps.kind_of_code g.Deps.e_kind.(e) in
+  let dist e = g.Deps.e_dist.(e) in
+  let keep_flow e = kind e = Deps.Reg_flow in
+  let keep_data e =
+    match kind e with
     | Deps.Reg_flow | Deps.Mem_flow -> true
     | Deps.Reg_anti | Deps.Reg_output | Deps.Mem_anti | Deps.Mem_output
     | Deps.Control | Deps.Serial -> false
   in
-  let keep_mem (e : Deps.edge) = is_mem_kind e.Deps.dkind in
-  let keep_control (e : Deps.edge) = e.Deps.dkind = Deps.Control in
-  let data_heights = heights deps op_latency keep_data in
+  let keep_mem e =
+    match kind e with
+    | Deps.Mem_flow | Deps.Mem_anti | Deps.Mem_output -> true
+    | Deps.Reg_flow | Deps.Reg_anti | Deps.Reg_output | Deps.Control | Deps.Serial -> false
+  in
+  let keep_control e = kind e = Deps.Control in
+  let data_heights = heights g op_latency keep_data in
   let critical_path = Array.fold_left max 0 data_heights in
   (* Computations: components of the register-flow graph over non-branch ops. *)
   let find, union = union_find n in
-  List.iter
-    (fun (e : Deps.edge) ->
-      if keep_flow e && e.Deps.distance = 0 then union e.Deps.src e.Deps.dst)
-    deps.Deps.edges;
-  let flow_heights = heights deps op_latency keep_flow in
-  let comp_height = Hashtbl.create 16 in
+  for e = 0 to g.Deps.n_edges - 1 do
+    if keep_flow e && dist e = 0 then union g.Deps.e_src.(e) g.Deps.e_dst.(e)
+  done;
+  let flow_heights = heights g op_latency keep_flow in
+  let comp_height = Array.make n 0 in
   for v = 0 to n - 1 do
     let r = find v in
-    let cur = Option.value (Hashtbl.find_opt comp_height r) ~default:0 in
-    Hashtbl.replace comp_height r (max cur flow_heights.(v))
+    comp_height.(r) <- max comp_height.(r) flow_heights.(v)
   done;
-  let computations = Hashtbl.length comp_height in
-  let max_dependence_height = Hashtbl.fold (fun _ h acc -> max h acc) comp_height 0 in
-  let sum_heights = Hashtbl.fold (fun _ h acc -> acc + h) comp_height 0 in
+  let computations = ref 0 and max_dependence_height = ref 0 and sum_heights = ref 0 in
+  for v = 0 to n - 1 do
+    if find v = v then begin
+      incr computations;
+      max_dependence_height := max !max_dependence_height comp_height.(v);
+      sum_heights := !sum_heights + comp_height.(v)
+    end
+  done;
+  let computations = !computations in
   let avg_dependence_height =
-    if computations = 0 then 0.0 else float_of_int sum_heights /. float_of_int computations
+    if computations = 0 then 0.0 else float_of_int !sum_heights /. float_of_int computations
   in
-  let mem_heights = heights deps op_latency keep_mem in
-  let max_memory_height =
-    (* Only meaningful on ops that participate in a memory chain. *)
+  (* Longest chain of the kept kind, only over ops that take part in one. *)
+  let chain_height keep =
+    let h = heights g op_latency keep in
+    let participates = Array.make n false in
+    for e = 0 to g.Deps.n_edges - 1 do
+      if keep e && dist e = 0 then begin
+        participates.(g.Deps.e_src.(e)) <- true;
+        participates.(g.Deps.e_dst.(e)) <- true
+      end
+    done;
     let best = ref 0 in
     for v = 0 to n - 1 do
-      let participates =
-        List.exists (fun e -> keep_mem e && e.Deps.distance = 0) deps.Deps.succs.(v)
-        || List.exists (fun e -> keep_mem e && e.Deps.distance = 0) deps.Deps.preds.(v)
-      in
-      if participates then best := max !best mem_heights.(v)
+      if participates.(v) then best := max !best h.(v)
     done;
     !best
   in
-  let control_heights = heights deps op_latency keep_control in
-  let max_control_height =
-    let best = ref 0 in
-    for v = 0 to n - 1 do
-      let participates =
-        List.exists (fun e -> keep_control e && e.Deps.distance = 0) deps.Deps.succs.(v)
-        || List.exists (fun e -> keep_control e && e.Deps.distance = 0) deps.Deps.preds.(v)
-      in
-      if participates then best := max !best control_heights.(v)
-    done;
-    !best
-  in
+  let max_memory_height = chain_height keep_mem in
+  let max_control_height = chain_height keep_control in
   let fan_in = Array.make n 0 in
-  List.iter
-    (fun (e : Deps.edge) ->
-      if keep_flow e && e.Deps.distance = 0 then fan_in.(e.Deps.dst) <- fan_in.(e.Deps.dst) + 1)
-    deps.Deps.edges;
+  for e = 0 to g.Deps.n_edges - 1 do
+    if keep_flow e && dist e = 0 then
+      let d = g.Deps.e_dst.(e) in
+      fan_in.(d) <- fan_in.(d) + 1
+  done;
   let max_fan_in = Array.fold_left max 0 fan_in in
   let avg_fan_in =
     if n = 0 then 0.0
     else float_of_int (Array.fold_left ( + ) 0 fan_in) /. float_of_int n
   in
-  let min_mem_to_mem_distance, mem_to_mem_dependences =
-    List.fold_left
-      (fun (mind, count) (e : Deps.edge) ->
-        if is_mem_kind e.Deps.dkind && e.Deps.distance > 0 then
-          (min mind e.Deps.distance, count + 1)
-        else (mind, count))
-      (max_int, 0) deps.Deps.edges
-  in
+  let min_mem_to_mem_distance = ref max_int and mem_to_mem_dependences = ref 0 in
+  for e = 0 to g.Deps.n_edges - 1 do
+    if keep_mem e && dist e > 0 then begin
+      min_mem_to_mem_distance := min !min_mem_to_mem_distance (dist e);
+      incr mem_to_mem_dependences
+    end
+  done;
   (* Recurrence bound: a loop-carried flow edge d->s at distance k closes a
      cycle with the longest distance-0 flow path from s back to d. *)
   let recurrence_latency =
+    let sinks_first = sinks_first g keep_flow in
+    let path = Array.make n min_int in
+    (* longest distance-0 flow path latencies starting at [src] *)
     let longest_path_from src =
-      (* longest distance-0 flow path latencies starting at [src] *)
-      let dist = Array.make n min_int in
-      dist.(src) <- op_latency src;
-      let order = topo_order deps keep_flow in
-      List.iter
-        (fun v ->
-          if dist.(v) > min_int then
-            List.iter
-              (fun (e : Deps.edge) ->
-                if keep_flow e && e.Deps.distance = 0 then
-                  let cand = dist.(v) + op_latency e.Deps.dst in
-                  if cand > dist.(e.Deps.dst) then dist.(e.Deps.dst) <- cand)
-              deps.Deps.succs.(v))
-        order;
-      dist
+      Array.fill path 0 n min_int;
+      path.(src) <- op_latency src;
+      for i = n - 1 downto 0 do
+        let v = sinks_first.(i) in
+        if path.(v) > min_int then
+          for k = g.Deps.succ_off.(v) to g.Deps.succ_off.(v + 1) - 1 do
+            let e = g.Deps.succ_edge.(k) in
+            if keep_flow e && dist e = 0 then
+              let d = g.Deps.e_dst.(e) in
+              let cand = path.(v) + op_latency d in
+              if cand > path.(d) then path.(d) <- cand
+          done
+      done
     in
-    List.fold_left
-      (fun acc (e : Deps.edge) ->
-        if e.Deps.dkind = Deps.Reg_flow && e.Deps.distance > 0 then begin
-          let cycle_latency =
-            if e.Deps.src = e.Deps.dst then op_latency e.Deps.src
-            else
-              let dist = longest_path_from e.Deps.dst in
-              if dist.(e.Deps.src) > min_int then dist.(e.Deps.src) else 0
-          in
-          if cycle_latency > 0 then
-            let bound =
-              (cycle_latency + e.Deps.distance - 1) / e.Deps.distance
-            in
-            max acc bound
-          else acc
-        end
-        else acc)
-      0 deps.Deps.edges
+    let best = ref 0 in
+    for e = 0 to g.Deps.n_edges - 1 do
+      if keep_flow e && dist e > 0 then begin
+        let src = g.Deps.e_src.(e) and dst = g.Deps.e_dst.(e) in
+        let cycle_latency =
+          if src = dst then op_latency src
+          else begin
+            longest_path_from dst;
+            if path.(src) > min_int then path.(src) else 0
+          end
+        in
+        if cycle_latency > 0 then best := max !best ((cycle_latency + dist e - 1) / dist e)
+      end
+    done;
+    !best
   in
   {
     critical_path;
     computations;
-    max_dependence_height;
+    max_dependence_height = !max_dependence_height;
     avg_dependence_height;
     max_memory_height;
     max_control_height;
     max_fan_in;
     avg_fan_in;
-    min_mem_to_mem_distance;
-    mem_to_mem_dependences;
+    min_mem_to_mem_distance = !min_mem_to_mem_distance;
+    mem_to_mem_dependences = !mem_to_mem_dependences;
     recurrence_latency;
   }

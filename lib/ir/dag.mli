@@ -36,6 +36,6 @@ type stats = {
       cycles-per-iteration regardless of unrolling *)
 }
 
-val analyze : Deps.t -> (int -> int) -> stats
+val analyze : Deps.csr -> (int -> int) -> stats
 (** [analyze deps op_latency] computes the statistics; [op_latency i] is the
     latency of the op at body position [i]. *)

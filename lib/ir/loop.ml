@@ -74,30 +74,33 @@ let code_bytes t =
   let bundles = (op_count t + 2) / 3 in
   bundles * 16
 
-let live_in_regs t =
-  let module RS = Set.Make (struct
-    type t = Op.reg
-    let compare = compare
-  end) in
-  let defined = ref RS.empty in
-  let live_in = ref RS.empty in
-  Array.iter
-    (fun op ->
-      List.iter
-        (fun r -> if not (RS.mem r !defined) then live_in := RS.add r !live_in)
-        (Op.uses op);
-      List.iter (fun r -> defined := RS.add r !defined) (Op.defs op))
-    t.body;
-  RS.elements !live_in
-
 let max_reg_id t =
   Array.fold_left
-    (fun acc op ->
-      List.fold_left
-        (fun acc (r : Op.reg) -> max acc r.Op.id)
-        acc
-        (Op.defs op @ Op.uses op))
+    (fun acc (op : Op.t) ->
+      let acc = match op.Op.dst with Some r -> max acc r.Op.id | None -> acc in
+      List.fold_left (fun acc (r : Op.reg) -> max acc r.Op.id) acc op.Op.srcs)
     0 t.body
+
+(* Flags indexed by [Op.reg_key]: read-before-def registers, collected in
+   ascending key order (the order of [compare] on registers). *)
+let live_in_regs t =
+  let keys = 2 * (max_reg_id t + 1) in
+  let defined = Bytes.make keys '\000' and live_in = Bytes.make keys '\000' in
+  let use (r : Op.reg) =
+    let k = Op.reg_key r in
+    if Bytes.get defined k = '\000' then Bytes.set live_in k '\001'
+  in
+  Array.iter
+    (fun (op : Op.t) ->
+      List.iter use op.Op.srcs;
+      match op.Op.dst with Some r -> Bytes.set defined (Op.reg_key r) '\001' | None -> ())
+    t.body;
+  let regs = ref [] in
+  for k = keys - 1 downto 0 do
+    if Bytes.get live_in k <> '\000' then
+      regs := { Op.id = k / 2; cls = (if k land 1 = 0 then Op.Int else Op.Flt) } :: !regs
+  done;
+  !regs
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error (t.name ^ ": " ^ s)) fmt in

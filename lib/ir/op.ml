@@ -58,6 +58,8 @@ let guard_reg op = Option.map (fun p -> { id = p; cls = Int }) op.pred
 let defs op = match op.dst with None -> [] | Some r -> [ r ]
 let uses op = op.srcs
 
+let reg_key r = (2 * r.id) + match r.cls with Int -> 0 | Flt -> 1
+
 let operand_count op = List.length (defs op) + List.length (uses op)
 
 let pp_reg fmt r =

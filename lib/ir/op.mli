@@ -74,6 +74,11 @@ val guard_reg : t -> reg option
 
 val defs : t -> reg list
 val uses : t -> reg list
+
+val reg_key : reg -> int
+(** [2 * id + class] (integer 0, FP 1): a dense non-negative index for
+    register-keyed tables, ascending in the order [compare] puts registers. *)
+
 val operand_count : t -> int
 (** Total number of register operands (defs + uses), the paper's
     "number of operands" feature. *)

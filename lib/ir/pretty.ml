@@ -23,20 +23,3 @@ let pp_loop fmt (loop : Loop.t) =
   end
 
 let loop_to_string loop = Format.asprintf "%a" pp_loop loop
-
-let kind_name = function
-  | Deps.Reg_flow -> "flow"
-  | Deps.Reg_anti -> "anti"
-  | Deps.Reg_output -> "out"
-  | Deps.Mem_flow -> "mflow"
-  | Deps.Mem_anti -> "manti"
-  | Deps.Mem_output -> "mout"
-  | Deps.Control -> "ctrl"
-  | Deps.Serial -> "serial"
-
-let pp_deps fmt (deps : Deps.t) =
-  List.iter
-    (fun (e : Deps.edge) ->
-      Format.fprintf fmt "  %d -> %d [%s lat=%d dist=%d]@." e.Deps.src e.Deps.dst
-        (kind_name e.Deps.dkind) e.Deps.latency e.Deps.distance)
-    (List.sort compare deps.Deps.edges)

@@ -1,7 +1,4 @@
-(** Human-readable rendering of loops and dependence graphs. *)
+(** Human-readable rendering of loops. *)
 
 val pp_loop : Format.formatter -> Loop.t -> unit
 val loop_to_string : Loop.t -> string
-
-val pp_deps : Format.formatter -> Deps.t -> unit
-(** One line per edge: positions, kind, latency, distance. *)

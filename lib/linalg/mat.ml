@@ -42,19 +42,6 @@ let col m j = Array.init m.r (fun i -> get m i j)
 
 let transpose m = init m.c m.r (fun i j -> get m j i)
 
-let check_same m n =
-  if m.r <> n.r || m.c <> n.c then invalid_arg "Mat: dimension mismatch"
-
-let add m n =
-  check_same m n;
-  { m with a = Array.init (Array.length m.a) (fun i -> m.a.(i) +. n.a.(i)) }
-
-let sub m n =
-  check_same m n;
-  { m with a = Array.init (Array.length m.a) (fun i -> m.a.(i) -. n.a.(i)) }
-
-let scale s m = { m with a = Array.map (fun v -> s *. v) m.a }
-
 (* i-k-j loop order: the inner loop walks both matrices row-major. *)
 let mul m n =
   if m.c <> n.r then invalid_arg "Mat.mul: inner dimensions";
@@ -184,13 +171,3 @@ let equal ?(eps = 1e-9) m n =
     if Float.abs (m.a.(i) -. n.a.(i)) > eps then ok := false
   done;
   !ok
-
-let pp fmt m =
-  for i = 0 to m.r - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.c - 1 do
-      if j > 0 then Format.fprintf fmt " ";
-      Format.fprintf fmt "%8.4f" (get m i j)
-    done;
-    Format.fprintf fmt "]@."
-  done

@@ -31,10 +31,6 @@ val row : t -> int -> float array
 val col : t -> int -> float array
 val transpose : t -> t
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-
 val mul : t -> t -> t
 (** Matrix product.  Inner dimensions must agree. *)
 
@@ -69,4 +65,3 @@ val pairwise_dist2 : ?jobs:int -> t -> t
     at every [jobs] value and block size. *)
 
 val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,10 +1,5 @@
 type t = float array
 
-let make n v = Array.make n v
-let init n f = Array.init n f
-let copy = Array.copy
-let dim = Array.length
-
 let check_dim x y =
   if Array.length x <> Array.length y then invalid_arg "Vec: dimension mismatch"
 
@@ -53,12 +48,3 @@ let equal ?(eps = 1e-9) x y =
     if Float.abs (x.(i) -. y.(i)) > eps then ok := false
   done;
   !ok
-
-let pp fmt x =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" v)
-    x;
-  Format.fprintf fmt "|]"

@@ -6,11 +6,6 @@
 
 type t = float array
 
-val make : int -> float -> t
-val init : int -> (int -> float) -> t
-val copy : t -> t
-val dim : t -> int
-
 val add : t -> t -> t
 (** Element-wise sum.  Dimensions must agree. *)
 
@@ -37,5 +32,3 @@ val dist : t -> t -> float
 
 val equal : ?eps:float -> t -> t -> bool
 (** Component-wise equality within [eps] (default 1e-9). *)
-
-val pp : Format.formatter -> t -> unit

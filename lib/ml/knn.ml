@@ -98,19 +98,6 @@ let classify ?(skip = -1) t x =
 let predict t x = fst (classify t x)
 let predict_confidence t x = classify t x
 
-let predict_1nn t x =
-  let n = t.n in
-  let nearest = ref 0 and nearest_d = ref infinity in
-  for i = 0 to n - 1 do
-    let d2 = row_dist2 t x i in
-    (* sqrt/scale are monotone: comparing raw dist² picks the same point *)
-    if d2 < !nearest_d then begin
-      nearest_d := d2;
-      nearest := i
-    end
-  done;
-  t.labels.(!nearest)
-
 let loo_predictions ?jobs t =
   let n = t.n in
   let dims = float_of_int (max t.d 1) in

@@ -34,9 +34,6 @@ val predict_confidence : t -> float array -> int * float
     for the winner (0 when the 1-NN fallback fired) — the outlier-detection
     signal sketched in §5.1. *)
 
-val predict_1nn : t -> float array -> int
-(** Single-nearest-neighbor label (used by greedy feature selection). *)
-
 val loo_predictions : ?jobs:int -> t -> int array
 (** Leave-one-out predictions over the training set: example [i] is
     classified with itself excluded from the database.  One blocked

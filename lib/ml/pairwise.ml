@@ -160,14 +160,6 @@ let dist2 ?cand t i k =
       base +. (dv *. dv)
   end
 
-let dist2_matrix ?cand t =
-  let m = Mat.create t.n t.n in
-  let a = Mat.data m in
-  iter_pairs ?cand t (fun i k d2 ->
-      a.((i * t.n) + k) <- d2;
-      a.((k * t.n) + i) <- d2);
-  m
-
 let rbf_gram ?cand ~gamma t =
   let m = Mat.create t.n t.n in
   let a = Mat.data m in

@@ -70,9 +70,6 @@ val iter_pairs : ?cand:int -> t -> (int -> int -> float -> unit) -> unit
 val dist2 : ?cand:int -> t -> int -> int -> float
 (** Random access to one pairwise distance (0 on the diagonal). *)
 
-val dist2_matrix : ?cand:int -> t -> Mat.t
-(** The full symmetric n×n dist² matrix for the current subset. *)
-
 val rbf_gram : ?cand:int -> gamma:float -> t -> Mat.t
 (** RBF Gram matrix [exp (-gamma * dist²)] with an exact unit diagonal —
     bit-identical to [Kernel.gram (Rbf gamma)] over the projected subset. *)

@@ -26,11 +26,3 @@ let store_cycles t k ~max_sim_iters c = Memo.add t.cycles (k, max_sim_iters) c
 
 let hits t = Memo.hits t.exes + Memo.hits t.cycles
 let misses t = Memo.misses t.exes + Memo.misses t.cycles
-
-let hit_rate t =
-  let h = hits t and m = misses t in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-
-let clear t =
-  Memo.clear t.exes;
-  Memo.clear t.cycles

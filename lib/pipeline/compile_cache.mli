@@ -46,10 +46,4 @@ val store_cycles : t -> key -> max_sim_iters:int option -> int -> unit
 
 val hits : t -> int
 val misses : t -> int
-(** Lookup counters across both stores since creation (or {!clear}). *)
-
-val hit_rate : t -> float
-(** [hits / (hits + misses)], 0 when empty. *)
-
-val clear : t -> unit
-(** Drop all entries and zero the counters. *)
+(** Lookup counters across both stores since creation. *)

@@ -1,18 +1,17 @@
 (** Dependence graphs of (loop, machine) pairs, with an optional memo.
 
     The compile pipeline calls {!build} once for each loop it schedules
-    and hands the graph to {!List_sched} / {!Modulo_sched}, which attach
-    its CSR view to the {!Schedule.t}; the simulator reads it from there.
-    Nothing is retained past the schedule, so a labelling sweep keeps no
-    graph of a loop it has finished with.
+    and hands the graph to {!List_sched} / {!Modulo_sched}, which attach it
+    to the {!Schedule.t}; the simulator and {!Schedule.validate} read it
+    from there.  Nothing is retained past the schedule, so a labelling
+    sweep keeps no graph of a loop it has finished with.
 
     The memo ({!get}) serves callers that re-derive a graph from a loop
-    alone: feature extraction, {!Schedule.validate} and RecMII queries.
-    Keyed like {!Compile_cache}: a digest of {!Loop.digest} (name blanked)
-    and {!Machine.digest} (the machine determines the latency model).  The
-    table is a {!Memo}: thread-safe and bounded (oldest-first eviction). *)
-
-type entry = { deps : Deps.t; csr : Deps.csr }
+    alone: feature extraction and RecMII queries.  Keyed like
+    {!Compile_cache}: a digest of {!Loop.digest} (name blanked) and
+    {!Machine.digest} (the machine determines the latency model).  The
+    table is a {!Memo} of {!Deps.csr} graphs: thread-safe and bounded
+    (oldest-first eviction). *)
 
 type t
 
@@ -22,16 +21,13 @@ val create : ?capacity:int -> ?telemetry:Telemetry.t -> unit -> t
 
 val global : t
 
-val build : Machine.t -> Loop.t -> entry
+val build : Machine.t -> Loop.t -> Deps.csr
 (** The dependence graph of the loop under the machine's latency model,
     built afresh; touches no memo. *)
 
-val get : ?memo:t -> Machine.t -> Loop.t -> entry
+val get : ?memo:t -> Machine.t -> Loop.t -> Deps.csr
 (** {!build}, memoised in [memo] (default {!global}).  Counts a hit or a
     miss in telemetry under pass ["deps-memo"]. *)
-
-val deps : ?memo:t -> Machine.t -> Loop.t -> Deps.t
-(** [(get ?memo machine loop).deps]. *)
 
 val hits : t -> int
 val misses : t -> int

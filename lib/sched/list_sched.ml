@@ -97,9 +97,7 @@ let reserve rt k occ s =
 let schedule ?graph machine (loop : Loop.t) =
   let body = loop.Loop.body in
   let n = Array.length body in
-  let g =
-    (match graph with Some e -> e | None -> Deps_memo.build machine loop).Deps_memo.csr
-  in
+  let g = match graph with Some g -> g | None -> Deps_memo.build machine loop in
   (* All walks below are over the distance-0 subgraph (the per-iteration
      DAG), reading the CSR arrays directly. *)
   let iter_succs0 v f =
@@ -144,31 +142,25 @@ let schedule ?graph machine (loop : Loop.t) =
   let rt = make_restable machine in
   (* Ready ops keyed by greatest height first, then body position (for
      determinism): [(max_h - height) * n + v] orders exactly so. *)
-  let module Ready = Set.Make (Int) in
   let max_h = Array.fold_left max 0 height in
   let rank v = ((max_h - height.(v)) * n) + v in
-  let ready = ref Ready.empty in
+  let ready = Rank_heap.create n in
   for v = 0 to n - 1 do
-    if unscheduled_preds.(v) = 0 then ready := Ready.add (rank v) !ready
+    if unscheduled_preds.(v) = 0 then Rank_heap.push ready (rank v)
   done;
-  let scheduled = ref 0 in
-  while !scheduled < n do
-    (match Ready.min_elt_opt !ready with
-    | None -> failwith "List_sched: dependence cycle in distance-0 graph"
-    | Some r ->
-      ready := Ready.remove r !ready;
-      let v = r mod n in
-      let k = kind_index (Machine.unit_of body.(v)) in
-      let occ = occupancy machine body.(v) in
-      let cycle = first_fit rt k occ earliest.(v) in
-      reserve rt k occ cycle;
-      assignment.(v) <- cycle;
-      incr scheduled;
-      iter_succs0 v (fun e ->
-          let d = g.Deps.e_dst.(e) in
-          earliest.(d) <- max earliest.(d) (cycle + g.Deps.e_lat.(e));
-          unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
-          if unscheduled_preds.(d) = 0 then ready := Ready.add (rank d) !ready))
+  for _ = 1 to n do
+    if Rank_heap.is_empty ready then failwith "List_sched: dependence cycle in distance-0 graph";
+    let v = Rank_heap.pop ready mod n in
+    let k = kind_index (Machine.unit_of body.(v)) in
+    let occ = occupancy machine body.(v) in
+    let cycle = first_fit rt k occ earliest.(v) in
+    reserve rt k occ cycle;
+    assignment.(v) <- cycle;
+    iter_succs0 v (fun e ->
+        let d = g.Deps.e_dst.(e) in
+        earliest.(d) <- max earliest.(d) (cycle + g.Deps.e_lat.(e));
+        unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
+        if unscheduled_preds.(d) = 0 then Rank_heap.push ready (rank d))
   done;
   let length = Array.fold_left (fun acc c -> max acc (c + 1)) 1 assignment in
   {

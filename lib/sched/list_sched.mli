@@ -12,8 +12,8 @@
     the issue width is already full.  The placement is the one a linear
     first-fit scan would choose. *)
 
-val schedule : ?graph:Deps_memo.entry -> Machine.t -> Loop.t -> Schedule.t
+val schedule : ?graph:Deps.csr -> Machine.t -> Loop.t -> Schedule.t
 (** Always succeeds; register pressure fields are filled by
     {!Regalloc.allocate}, so they are 0 here and [spills] is 0.  [graph]
     is the loop's dependence graph under the machine's latency model
-    (default: {!Deps_memo.build}); its CSR view is attached to the result. *)
+    (default: {!Deps_memo.build}); it is attached to the result. *)

@@ -1,8 +1,5 @@
 let res_mii machine (loop : Loop.t) = Machine.res_cycles machine loop.Loop.body
 
-let usable_edges (deps : Deps.t) =
-  List.filter (fun (e : Deps.edge) -> e.Deps.dkind <> Deps.Serial) deps.Deps.edges
-
 (* Longest-path fixpoint with weights (lat - II*dist); divergence after n
    rounds means a positive cycle, i.e. II is below RecMII.  Serial edges
    are excluded (the rotated branch is not a constraint). *)
@@ -45,7 +42,7 @@ let rec_mii_of (g : Deps.csr) =
   search 1 !ub
 
 let rec_mii ?memo machine (loop : Loop.t) =
-  rec_mii_of (Deps_memo.get ?memo machine loop).Deps_memo.csr
+  rec_mii_of (Deps_memo.get ?memo machine loop)
 
 let kind_index = function Machine.M -> 0 | Machine.I -> 1 | Machine.F -> 2 | Machine.B -> 3
 
@@ -57,9 +54,10 @@ let occupancy m (op : Op.t) =
   | _ -> 1
 
 (* Modulo reservation table: per modulo slot, per unit kind + issue total. *)
-type mrt = { ii : int; rows : int array array; machine : Machine.t }
+type mrt = { ii : int; rows : int array array; machine : Machine.t; units : int array }
 
-let mrt_create machine ii = { ii; rows = Array.init ii (fun _ -> Array.make 5 0); machine }
+let mrt_create machine ii =
+  { ii; rows = Array.init ii (fun _ -> Array.make 5 0); machine; units = avail machine }
 
 let mrt_fits mrt op time =
   let m = mrt.machine in
@@ -68,7 +66,7 @@ let mrt_fits mrt op time =
   let ok = ref true in
   for d = 0 to occ - 1 do
     let slot = (time + d) mod mrt.ii in
-    if mrt.rows.(slot).(k) >= (avail m).(k) then ok := false
+    if mrt.rows.(slot).(k) >= mrt.units.(k) then ok := false
   done;
   if mrt.rows.(time mod mrt.ii).(4) >= m.Machine.issue_width then ok := false;
   !ok
@@ -113,17 +111,17 @@ let charge_reg int_req fp_req (r : Op.reg) =
   | Op.Flt -> incr fp_req
 
 (* Rotating-register requirement at a given schedule. *)
-let register_requirement (loop : Loop.t) edges assignment ii =
+let register_requirement (loop : Loop.t) (g : Deps.csr) assignment ii =
   let body = loop.Loop.body in
   let n = Array.length body in
   let lifetime = Array.make n 0 in
-  List.iter
-    (fun (e : Deps.edge) ->
-      if e.Deps.dkind = Deps.Reg_flow then begin
-        let span = assignment.(e.Deps.dst) + (ii * e.Deps.distance) - assignment.(e.Deps.src) in
-        lifetime.(e.Deps.src) <- max lifetime.(e.Deps.src) span
-      end)
-    edges;
+  for e = 0 to g.Deps.n_edges - 1 do
+    if g.Deps.e_kind.(e) = Deps.reg_flow_code then begin
+      let src = g.Deps.e_src.(e) in
+      let span = assignment.(g.Deps.e_dst.(e)) + (ii * g.Deps.e_dist.(e)) - assignment.(src) in
+      lifetime.(src) <- max lifetime.(src) span
+    end
+  done;
   let int_req = ref 0 and fp_req = ref 0 in
   for v = 0 to n - 1 do
     match body.(v).Op.dst with
@@ -148,54 +146,42 @@ let min_register_requirement (loop : Loop.t) =
   List.iter (charge_reg int_req fp_req) (Loop.live_in_regs loop);
   (!int_req, !fp_req)
 
-(* Per-op incoming and outgoing edge lists; they do not depend on the II,
-   so [schedule] builds them once for every [try_ii]. *)
-let adjacency n edges =
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  List.iter
-    (fun (e : Deps.edge) ->
-      preds.(e.Deps.dst) <- e :: preds.(e.Deps.dst);
-      succs.(e.Deps.src) <- e :: succs.(e.Deps.src))
-    edges;
-  (preds, succs)
-
-let try_ii machine (loop : Loop.t) (preds, succs) (g : Deps.csr) ii =
+let try_ii machine (loop : Loop.t) (g : Deps.csr) ii =
   let body = loop.Loop.body in
   let n = Array.length body in
   let h = heights g ii in
   let time = Array.make n (-1) in
   let prev_time = Array.make n (-1) in
   let mrt = mrt_create machine ii in
-  let module Q = Set.Make (struct
-    type t = int * int (* -height, position *)
-    let compare = compare
-  end) in
-  let queue = ref Q.empty in
+  (* Unplaced ops, greatest height first, then body position.  An op is
+     queued exactly while it has no time, so [n] slots suffice. *)
+  let max_h = Array.fold_left max 0 h in
+  let rank v = ((max_h - h.(v)) * n) + v in
+  let queue = Rank_heap.create n in
   for v = 0 to n - 1 do
-    queue := Q.add (-h.(v), v) !queue
+    Rank_heap.push queue (rank v)
   done;
   let unschedule v =
     mrt_change mrt body.(v) time.(v) (-1);
     time.(v) <- -1;
-    queue := Q.add (-h.(v), v) !queue
+    Rank_heap.push queue (rank v)
   in
   let budget = ref (n * 16) in
   let failed = ref false in
-  while (not !failed) && not (Q.is_empty !queue) do
+  while (not !failed) && not (Rank_heap.is_empty queue) do
     if !budget <= 0 then failed := true
     else begin
       decr budget;
-      let ((_, v) as elt) = Q.min_elt !queue in
-      queue := Q.remove elt !queue;
-      let estart =
-        List.fold_left
-          (fun acc (e : Deps.edge) ->
-            if time.(e.Deps.src) >= 0 then
-              max acc (time.(e.Deps.src) + e.Deps.latency - (ii * e.Deps.distance))
-            else acc)
-          0 preds.(v)
-      in
+      let v = Rank_heap.pop queue mod n in
+      (* Serial edges are not constraints: the branch is rotated. *)
+      let estart = ref 0 in
+      for k = g.Deps.pred_off.(v) to g.Deps.pred_off.(v + 1) - 1 do
+        let e = g.Deps.pred_edge.(k) in
+        let src = g.Deps.e_src.(e) in
+        if g.Deps.e_kind.(e) <> Deps.serial_code && time.(src) >= 0 then
+          estart := max !estart (time.(src) + g.Deps.e_lat.(e) - (ii * g.Deps.e_dist.(e)))
+      done;
+      let estart = !estart in
       (* Find a resource-feasible slot in the II-wide window. *)
       let slot = ref None in
       (let t = ref estart in
@@ -250,12 +236,12 @@ let try_ii machine (loop : Loop.t) (preds, succs) (g : Deps.csr) ii =
         time.(v) <- t;
         prev_time.(v) <- t;
         (* Evict scheduled successors whose dependence the placement broke. *)
-        List.iter
-          (fun (e : Deps.edge) ->
-            let u = e.Deps.dst in
-            if u <> v && time.(u) >= 0 then
-              if time.(u) + (ii * e.Deps.distance) < t + e.Deps.latency then unschedule u)
-          succs.(v)
+        for k = g.Deps.succ_off.(v) to g.Deps.succ_off.(v + 1) - 1 do
+          let e = g.Deps.succ_edge.(k) in
+          let u = g.Deps.e_dst.(e) in
+          if g.Deps.e_kind.(e) <> Deps.serial_code && u <> v && time.(u) >= 0 then
+            if time.(u) + (ii * g.Deps.e_dist.(e)) < t + g.Deps.e_lat.(e) then unschedule u
+        done
       end
     end
   done;
@@ -281,20 +267,15 @@ let schedule ?(max_ii = 128) ?graph machine (loop : Loop.t) =
   else begin
     (* One dependence analysis feeds RecMII, placement heights and the
        placement loop itself. *)
-    let entry =
-      match graph with Some g -> Lazy.force g | None -> Deps_memo.build machine loop
-    in
-    let g = entry.Deps_memo.csr in
-    let edges = usable_edges entry.Deps_memo.deps in
-    let adj = adjacency (Array.length loop.Loop.body) edges in
+    let g = match graph with Some g -> Lazy.force g | None -> Deps_memo.build machine loop in
     let mii = max (res_mii machine loop) (rec_mii_of g) in
     let rec attempt ii =
       if ii > max_ii then None
       else
-        match try_ii machine loop adj g ii with
+        match try_ii machine loop g ii with
         | None -> attempt (ii + 1)
         | Some time ->
-          let int_req, fp_req = register_requirement loop edges time ii in
+          let int_req, fp_req = register_requirement loop g time ii in
           if
             int_req > machine.Machine.rot_int_regs
             || fp_req > machine.Machine.rot_fp_regs

@@ -31,11 +31,11 @@ val rec_mii : ?memo:Deps_memo.t -> Machine.t -> Loop.t -> int
 val res_mii : Machine.t -> Loop.t -> int
 (** Resource-constrained minimum II (see {!Machine.res_cycles}). *)
 
-val register_requirement : Loop.t -> Deps.edge list -> int array -> int -> int * int
-(** [register_requirement loop edges assignment ii] is the
+val register_requirement : Loop.t -> Deps.csr -> int array -> int -> int * int
+(** [register_requirement loop graph assignment ii] is the
     [(int, fp)] rotating-register demand of a pipelined placement: each
     defined value holds [max 1 (ceil (lifetime / ii))] registers, where its
-    lifetime is the longest register-flow span in [edges] (other edge kinds
+    lifetime is the longest register-flow span in [graph] (other edge kinds
     are ignored), and each {!Loop.live_in_regs} invariant holds one. *)
 
 val min_register_requirement : Loop.t -> int * int
@@ -44,7 +44,7 @@ val min_register_requirement : Loop.t -> int * int
     the number of loop invariants. *)
 
 val schedule :
-  ?max_ii:int -> ?graph:Deps_memo.entry Lazy.t -> Machine.t -> Loop.t -> Schedule.t option
+  ?max_ii:int -> ?graph:Deps.csr Lazy.t -> Machine.t -> Loop.t -> Schedule.t option
 (** Pipelines the loop, trying II from MII upwards to [max_ii] (default
     128).  Returns [None] for loops that cannot or should not be pipelined:
     calls or early exits, a {!min_register_requirement} above

@@ -16,6 +16,11 @@ val spill_array_name : string
 (** Name of the stride-0 array spill slots live in (["$spill"]); consumers
     that compare memory images can exclude its address range. *)
 
+val spill_register : Loop.t -> Op.reg -> Loop.t
+(** The loop rewritten so the register lives in a fresh spill slot: a
+    store after each def, a reload into a fresh register before each use.
+    The rewrite the allocator reschedules after every spill. *)
+
 val pressure : Schedule.t -> int * int
 (** [(int_live, fp_live)] maximum concurrently-live values, counting loop
     invariants and treating loop-carried values as live across the whole

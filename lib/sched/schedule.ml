@@ -19,32 +19,32 @@ let ii t =
 
 let validate t =
   let m = t.machine in
-  let deps = Deps_memo.deps m t.loop in
+  let g = t.csr in
   let window = match t.kind with Pipelined { ii; _ } -> ii | Straight -> max_int in
   let pipelined = match t.kind with Pipelined _ -> true | Straight -> false in
   let err = ref None in
-  (* Dependence constraints. *)
-  List.iter
-    (fun (e : Deps.edge) ->
-      let skip =
-        (* Pipelined schedules rotate the branch, so intra-iteration
-           serialisation against it does not apply; straight schedules
-           re-issue in order each iteration, so loop-carried latencies are
-           enforced by hardware interlocks rather than the schedule. *)
-        (pipelined && e.Deps.dkind = Deps.Serial)
-        || ((not pipelined) && e.Deps.distance > 0)
-      in
-      if (not skip) && !err = None then begin
-        let slack_ii = if pipelined then window else 0 in
-        let lhs = t.assignment.(e.Deps.dst) + (slack_ii * e.Deps.distance) in
-        let rhs = t.assignment.(e.Deps.src) + e.Deps.latency in
-        if lhs < rhs then
-          err :=
-            Some
-              (Printf.sprintf "edge %d->%d (lat %d dist %d) violated: %d < %d"
-                 e.Deps.src e.Deps.dst e.Deps.latency e.Deps.distance lhs rhs)
-      end)
-    deps.Deps.edges;
+  (* Dependence constraints, in edge order. *)
+  for e = 0 to g.Deps.n_edges - 1 do
+    let src = g.Deps.e_src.(e) and dst = g.Deps.e_dst.(e) in
+    let lat = g.Deps.e_lat.(e) and dist = g.Deps.e_dist.(e) in
+    let skip =
+      (* Pipelined schedules rotate the branch, so intra-iteration
+         serialisation against it does not apply; straight schedules
+         re-issue in order each iteration, so loop-carried latencies are
+         enforced by hardware interlocks rather than the schedule. *)
+      (pipelined && g.Deps.e_kind.(e) = Deps.serial_code) || ((not pipelined) && dist > 0)
+    in
+    if (not skip) && !err = None then begin
+      let slack_ii = if pipelined then window else 0 in
+      let lhs = t.assignment.(dst) + (slack_ii * dist) in
+      let rhs = t.assignment.(src) + lat in
+      if lhs < rhs then
+        err :=
+          Some
+            (Printf.sprintf "edge %d->%d (lat %d dist %d) violated: %d < %d" src dst lat dist
+               lhs rhs)
+    end
+  done;
   (* Resource constraints. *)
   (match !err with
   | Some _ -> ()

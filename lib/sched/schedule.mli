@@ -21,11 +21,12 @@ type t = {
   spills : int;            (** spill store/load pairs the allocator added *)
   int_pressure : int;      (** max simultaneously-live integer values *)
   fp_pressure : int;       (** max simultaneously-live FP values *)
-  csr : Deps.csr;          (** dependence graph of [(loop, machine)] in CSR
-                               form, attached by the scheduler that built
-                               the assignment so downstream consumers (the
-                               simulator's execution plans) share it
-                               instead of re-deriving or re-keying it *)
+  csr : Deps.csr;          (** dependence graph of [(loop, machine)],
+                               attached by the scheduler that built the
+                               assignment so downstream consumers (the
+                               simulator's execution plans, {!validate})
+                               share it instead of re-deriving or
+                               re-keying it *)
 }
 
 val ii : t -> int
@@ -34,7 +35,7 @@ val ii : t -> int
     cost. *)
 
 val validate : t -> (unit, string) result
-(** Checks that every dependence edge is respected
+(** Checks that every edge of [csr] is respected
     ([time dst >= time src + latency - ii * distance], with serial edges
     exempted for pipelined schedules) and that no cycle oversubscribes a
     functional unit class or total issue width (modulo [ii] for pipelined

@@ -176,10 +176,3 @@ let apply_flood t f =
     Array.unsafe_set t.stamps i (c + Array.unsafe_get f.f_rank i)
   done;
   t.clock <- c + t.assoc
-
-let snapshot_all t =
-  let buf = Array.make (t.sets * t.assoc) (-1) in
-  for s = 0 to t.sets - 1 do
-    snapshot_set t s buf (s * t.assoc)
-  done;
-  buf

@@ -47,9 +47,6 @@ val snapshot_set : t -> int -> int array -> int -> unit
     depends only on tags and per-set recency order, never on absolute
     stamp values. *)
 
-val snapshot_all : t -> int array
-(** Snapshot of every set, [sets t * assoc t] ints. *)
-
 type flood
 (** A precomputed overwrite equivalent to replaying an access sequence
     that floods every set with at least [assoc] distinct lines. *)

@@ -100,18 +100,20 @@ let prepare (sched : Schedule.t) =
     | Schedule.Pipelined { ii; _ } -> ii
     | Schedule.Straight -> 0
   in
-  let deps = Deps.build ~latency:(Machine.latency m) loop in
+  let g = Deps.build ~latency:(Machine.latency m) loop in
   let slack_of pos =
     let t0 = sched.Schedule.assignment.(pos) in
     let lat = Machine.latency m loop.Loop.body.(pos) in
-    List.fold_left
-      (fun acc (e : Deps.edge) ->
-        if e.Deps.dkind = Deps.Reg_flow then
-          let consumer = sched.Schedule.assignment.(e.Deps.dst) + (window * e.Deps.distance) in
-          min acc (max 0 (consumer - t0 - lat))
-        else acc)
-      max_int deps.Deps.succs.(pos)
-    |> fun s -> if s = max_int then window else s
+    let slack = ref max_int in
+    for k = g.Deps.succ_off.(pos) to g.Deps.succ_off.(pos + 1) - 1 do
+      let e = g.Deps.succ_edge.(k) in
+      if g.Deps.e_kind.(e) = Deps.reg_flow_code then
+        let consumer =
+          sched.Schedule.assignment.(g.Deps.e_dst.(e)) + (window * g.Deps.e_dist.(e))
+        in
+        slack := min !slack (max 0 (consumer - t0 - lat))
+    done;
+    if !slack = max_int then window else !slack
   in
   let order =
     let idx = Array.init (Array.length loop.Loop.body) (fun i -> i) in

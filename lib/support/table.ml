@@ -67,8 +67,6 @@ let to_string t =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let print t = print_string (to_string t)
-
 let cell_float ?(decimals = 3) v = Printf.sprintf "%.*f" decimals v
 
 let cell_pct ?(decimals = 1) v = Printf.sprintf "%.*f%%" decimals (v *. 100.0)

@@ -22,9 +22,6 @@ val add_separator : t -> unit
 val to_string : t -> string
 (** Renders the table with padded, aligned columns. *)
 
-val print : t -> unit
-(** [print t] writes [to_string t] to standard output. *)
-
 val cell_float : ?decimals:int -> float -> string
 (** Formats a float cell with a fixed number of decimals (default 3). *)
 

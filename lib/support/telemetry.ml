@@ -49,20 +49,11 @@ let calls t ~pass =
   locked t (fun () ->
       match Hashtbl.find_opt t.entries pass with Some e -> e.calls | None -> 0)
 
-let seconds t ~pass =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.entries pass with Some e -> e.seconds | None -> 0.0)
-
 let counter t ~pass metric =
   locked t (fun () ->
       match Hashtbl.find_opt t.entries pass with
       | Some e -> (match Hashtbl.find_opt e.counters metric with Some r -> !r | None -> 0)
       | None -> 0)
-
-let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.entries;
-      t.order <- [])
 
 let to_table t =
   locked t (fun () ->

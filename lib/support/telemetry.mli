@@ -33,14 +33,8 @@ val incr : t -> pass:string -> string -> int -> unit
 val calls : t -> pass:string -> int
 (** Number of recorded invocations of [pass] (0 if never seen). *)
 
-val seconds : t -> pass:string -> float
-(** Accumulated wall-clock seconds of [pass]. *)
-
 val counter : t -> pass:string -> string -> int
 (** Value of a named counter (0 if never seen). *)
-
-val reset : t -> unit
-(** Drop everything recorded so far. *)
 
 val to_table : t -> string
 (** Render the sink as an ASCII table: one row per pass in first-seen

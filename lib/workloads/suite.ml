@@ -8,15 +8,6 @@ type benchmark = {
   loops : (Loop.t * float) array;
 }
 
-let tag_name = function
-  | Spec2000fp -> "SPEC2000fp"
-  | Spec2000int -> "SPEC2000int"
-  | Spec95 -> "SPEC95"
-  | Spec92 -> "SPEC92"
-  | Mediabench -> "Mediabench"
-  | Perfect -> "Perfect"
-  | KernelSuite -> "Kernels"
-
 (* Benchmark roster: name, tag, profile, base loop count, kernel-loop count,
    loop runtime fraction.  SPEC 2000 first, in the paper's figure order. *)
 let roster : (string * tag * Synth.profile * int * int * float) list =

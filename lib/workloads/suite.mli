@@ -22,8 +22,6 @@ type benchmark = {
   loops : (Loop.t * float) array; (** loop, relative runtime weight (sums to 1) *)
 }
 
-val tag_name : tag -> string
-
 val spec2000 : scale:float -> seed:int -> benchmark list
 (** The 24 SPEC 2000 benchmarks of Figures 4 and 5, in the paper's order. *)
 

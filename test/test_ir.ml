@@ -130,37 +130,44 @@ let test_builder_class_check () =
 
 (* --- Deps --- *)
 
+(* The graph's edges in index order, as records. *)
+let edges l = Deps_reference.edges_of_csr (Deps.build ~latency l)
+
 let edges_between deps src dst =
-  List.filter (fun (e : Deps.edge) -> e.Deps.src = src && e.Deps.dst = dst) deps.Deps.edges
+  List.filter
+    (fun e -> e.Deps_reference.src = src && e.dst = dst)
+    deps
 
 let test_deps_daxpy_structure () =
   let l = daxpy () in
-  let deps = Deps.build ~latency l in
+  let deps = edges l in
   (* body: 0 load x, 1 load y, 2 fmadd, 3 store, 4 iv, 5 cmp, 6 br *)
   let flow02 = edges_between deps 0 2 in
   Alcotest.(check bool) "load x feeds fmadd" true
-    (List.exists (fun e -> e.Deps.dkind = Deps.Reg_flow && e.Deps.latency = machine.Machine.lat_load) flow02);
+    (List.exists
+       (fun e -> e.Deps_reference.dkind = Deps.Reg_flow && e.latency = machine.Machine.lat_load)
+       flow02);
   (* load y and store y at the same address: anti dependence, same iter *)
   let anti13 = edges_between deps 1 3 in
   Alcotest.(check bool) "load y before store y" true
-    (List.exists (fun e -> e.Deps.dkind = Deps.Mem_anti && e.Deps.distance = 0) anti13);
+    (List.exists (fun e -> e.Deps_reference.dkind = Deps.Mem_anti && e.distance = 0) anti13);
   (* everything serialises before the backedge *)
   let n = Loop.op_count l in
   for i = 0 to n - 2 do
     Alcotest.(check bool)
       (Printf.sprintf "op %d -> backedge" i)
       true
-      (List.exists (fun e -> e.Deps.dkind = Deps.Serial) (edges_between deps i (n - 1)))
+      (List.exists (fun e -> e.Deps_reference.dkind = Deps.Serial) (edges_between deps i (n - 1)))
   done
 
 let test_deps_recurrence () =
   let l = ddot () in
-  let deps = Deps.build ~latency l in
+  let deps = edges l in
   (* fadd (pos 3) accumulates: self flow edge at distance 1 *)
   let self = edges_between deps 3 3 in
   Alcotest.(check bool) "accumulator recurrence" true
     (List.exists
-       (fun e -> e.Deps.dkind = Deps.Reg_flow && e.Deps.distance = 1)
+       (fun e -> e.Deps_reference.dkind = Deps.Reg_flow && e.distance = 1)
        self)
 
 let test_deps_acyclic_at_distance_zero () =
@@ -173,12 +180,12 @@ let test_deps_acyclic_at_distance_zero () =
 
 let test_deps_stride0_carried () =
   let l = Kernels.dot_stride0 ~name:"t_s0" ~trip:32 in
-  let deps = Deps.build ~latency l in
+  let deps = edges l in
   (* stride-0 store feeds next iteration's load of the accumulator cell *)
   Alcotest.(check bool) "carried mem flow" true
     (List.exists
-       (fun (e : Deps.edge) -> e.Deps.dkind = Deps.Mem_flow && e.Deps.distance = 1)
-       deps.Deps.edges)
+       (fun e -> e.Deps_reference.dkind = Deps.Mem_flow && e.distance = 1)
+       deps)
 
 let test_deps_language_aliasing () =
   let build lang =
@@ -190,14 +197,14 @@ let test_deps_language_aliasing () =
     Builder.finish b
   in
   let cross_edges l =
-    let deps = Deps.build ~latency l in
+    let deps = edges l in
     List.length
       (List.filter
-         (fun (e : Deps.edge) ->
-           match e.Deps.dkind with
+         (fun e ->
+           match e.Deps_reference.dkind with
            | Deps.Mem_flow | Deps.Mem_anti | Deps.Mem_output -> true
            | _ -> false)
-         deps.Deps.edges)
+         deps)
   in
   Alcotest.(check int) "fortran: no cross-array deps" 0 (cross_edges (build Loop.Fortran));
   Alcotest.(check bool) "c: conservative cross-array deps" true
@@ -212,19 +219,12 @@ let test_deps_distance_from_offsets () =
   let w = Builder.fmul b [ v; v ] in
   Builder.store b ~array:a ~stride:1 ~offset:2 w;
   let l = Builder.finish b in
-  let deps = Deps.build ~latency l in
+  let deps = edges l in
   Alcotest.(check bool) "mem flow at distance 2" true
     (List.exists
-       (fun (e : Deps.edge) ->
-         e.Deps.dkind = Deps.Mem_flow && e.Deps.distance = 2 && e.Deps.src = 2 && e.Deps.dst = 0)
-       deps.Deps.edges)
-
-let test_intra_iteration_filter () =
-  let l = ddot () in
-  let deps = Deps.build ~latency l in
-  let intra = Deps.intra_iteration deps in
-  Alcotest.(check bool) "no carried edges" true
-    (List.for_all (fun (e : Deps.edge) -> e.Deps.distance = 0) intra.Deps.edges)
+       (fun e ->
+         e.Deps_reference.dkind = Deps.Mem_flow && e.distance = 2 && e.src = 2 && e.dst = 0)
+       deps)
 
 (* --- Dag --- *)
 
@@ -322,7 +322,6 @@ let suite =
     ("deps stride0 carried", `Quick, test_deps_stride0_carried);
     ("deps language aliasing", `Quick, test_deps_language_aliasing);
     ("deps offset distance", `Quick, test_deps_distance_from_offsets);
-    ("deps intra filter", `Quick, test_intra_iteration_filter);
     ("dag critical path", `Quick, test_dag_critical_path_chain);
     ("dag recurrence", `Quick, test_dag_recurrence_ddot);
     ("dag computations", `Quick, test_dag_computations_wide);

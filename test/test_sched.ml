@@ -269,12 +269,12 @@ let prop_register_floor =
   QCheck.Test.make ~count:300 ~name:"register_requirement >= its II-independent floor"
     (QCheck.make ~print:print_floor_case floor_gen)
     (fun (m, l, ii, seed) ->
-      let edges = (Deps_memo.deps m l).Deps.edges in
+      let graph = Deps_memo.get m l in
       let n = Array.length l.Loop.body in
       let rng = Rng.create seed in
       (* Any assignment, dependence-respecting or not. *)
       let assignment = Array.init n (fun _ -> Rng.int rng ((4 * n) + 1)) in
-      let int_req, fp_req = Modulo_sched.register_requirement l edges assignment ii in
+      let int_req, fp_req = Modulo_sched.register_requirement l graph assignment ii in
       let int_floor, fp_floor = Modulo_sched.min_register_requirement l in
       int_req >= int_floor && fp_req >= fp_floor)
 
@@ -295,6 +295,68 @@ let prop_floor_refusal_sound =
            s.Schedule.int_pressure > m.Machine.rot_int_regs
            || s.Schedule.fp_pressure > m.Machine.rot_fp_regs)
 
+(* --- CSR-native dependence graphs --- *)
+
+(* The loop and two successive spill rewrites of it, as the allocator's
+   respill loop would reschedule them; victims are defined registers picked
+   by [seed]. *)
+let with_spills (l : Loop.t) seed =
+  let spill (l : Loop.t) k =
+    match List.filter_map (fun (op : Op.t) -> op.Op.dst) (Array.to_list l.Loop.body) with
+    | [] -> l
+    | regs -> Regalloc.spill_register l (List.nth regs (k mod List.length regs))
+  in
+  let once = spill l seed in
+  [ l; once; spill once (seed / 7) ]
+
+let prop_deps_csr_native =
+  QCheck.Test.make ~count:300 ~name:"csr-native graph = reference builder"
+    (QCheck.make ~print:print_floor_case floor_gen)
+    (fun (m, l, _, seed) ->
+      let latency = Machine.latency m in
+      List.for_all
+        (fun l ->
+          let g = Deps.build ~latency l in
+          let r = Deps_reference.to_csr (Deps_reference.build ~latency l) in
+          g.Deps.csr_n = r.Deps.csr_n
+          && g.Deps.n_edges = r.Deps.n_edges
+          && g.Deps.e_src = r.Deps.e_src
+          && g.Deps.e_dst = r.Deps.e_dst
+          && g.Deps.e_kind = r.Deps.e_kind
+          && g.Deps.e_lat = r.Deps.e_lat
+          && g.Deps.e_dist = r.Deps.e_dist
+          && g.Deps.succ_off = r.Deps.succ_off
+          && g.Deps.succ_edge = r.Deps.succ_edge
+          && g.Deps.pred_off = r.Deps.pred_off
+          && g.Deps.pred_edge = r.Deps.pred_edge)
+        (with_spills l seed))
+
+(* [Loop.live_in_regs] as it was: registers read before any def, collected
+   in a polymorphic-compare set. *)
+let live_in_regs_reference (t : Loop.t) =
+  let module RS = Set.Make (struct
+    type t = Op.reg
+    let compare = compare
+  end) in
+  let defined = ref RS.empty in
+  let live_in = ref RS.empty in
+  Array.iter
+    (fun op ->
+      List.iter
+        (fun r -> if not (RS.mem r !defined) then live_in := RS.add r !live_in)
+        (Op.uses op);
+      List.iter (fun r -> defined := RS.add r !defined) (Op.defs op))
+    t.Loop.body;
+  RS.elements !live_in
+
+let prop_live_in_regs =
+  QCheck.Test.make ~count:300 ~name:"live_in_regs = Set reference"
+    (QCheck.make ~print:print_floor_case floor_gen)
+    (fun (_, l, _, seed) ->
+      List.for_all
+        (fun l -> Loop.live_in_regs l = live_in_regs_reference l)
+        (with_spills l seed))
+
 (* --- First fit without probing --- *)
 
 (* The list scheduler as it was before skip pointers: same priorities, but
@@ -305,24 +367,24 @@ let linear_probe_assignment m (l : Loop.t) =
   let n = Array.length body in
   let edges =
     List.filter
-      (fun (e : Deps.edge) -> e.Deps.distance = 0)
-      (Deps_memo.build m l).Deps_memo.deps.Deps.edges
+      (fun e -> e.Deps_reference.distance = 0)
+      (Deps_reference.edges_of_csr (Deps_memo.build m l))
   in
   let height = Array.make n 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (e : Deps.edge) ->
-        let h = height.(e.Deps.dst) + e.Deps.latency in
-        if h > height.(e.Deps.src) then begin
-          height.(e.Deps.src) <- h;
+      (fun (e : Deps_reference.edge) ->
+        let h = height.(e.dst) + e.latency in
+        if h > height.(e.src) then begin
+          height.(e.src) <- h;
           changed := true
         end)
       edges
   done;
   let preds = Array.make n 0 in
-  List.iter (fun (e : Deps.edge) -> preds.(e.Deps.dst) <- preds.(e.Deps.dst) + 1) edges;
+  List.iter (fun (e : Deps_reference.edge) -> preds.(e.dst) <- preds.(e.dst) + 1) edges;
   let used = Hashtbl.create 64 in
   let get c slot = Option.value ~default:0 (Hashtbl.find_opt used (c, slot)) in
   let bump c slot = Hashtbl.replace used (c, slot) (get c slot + 1) in
@@ -354,10 +416,10 @@ let linear_probe_assignment m (l : Loop.t) =
     bump !c 4;
     time.(v) <- !c;
     List.iter
-      (fun (e : Deps.edge) ->
-        if e.Deps.src = v then begin
-          let d = e.Deps.dst in
-          earliest.(d) <- max earliest.(d) (!c + e.Deps.latency);
+      (fun (e : Deps_reference.edge) ->
+        if e.src = v then begin
+          let d = e.dst in
+          earliest.(d) <- max earliest.(d) (!c + e.latency);
           preds.(d) <- preds.(d) - 1;
           if preds.(d) = 0 then ready := d :: !ready
         end)
@@ -422,6 +484,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_modulo_ii_at_least_mii;
     QCheck_alcotest.to_alcotest prop_register_floor;
     QCheck_alcotest.to_alcotest prop_floor_refusal_sound;
+    QCheck_alcotest.to_alcotest prop_deps_csr_native;
+    QCheck_alcotest.to_alcotest prop_live_in_regs;
     ("modulo floor refusal counted", `Quick, test_floor_refusal_counted);
     QCheck_alcotest.to_alcotest prop_list_sched_first_fit;
     ("list sched first fit on kernels", `Quick, test_list_sched_first_fit_kernels);

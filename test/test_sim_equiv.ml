@@ -177,12 +177,12 @@ let test_rec_mii_bracketed_by_graph_bound () =
   List.iter
     (fun (name, maker) ->
       let loop = maker ~name ~trip:64 in
-      let d = Deps_memo.deps machine loop in
+      let d = Deps_reference.edges_of_csr (Deps_memo.get machine loop) in
       let ub =
         List.fold_left
-          (fun acc (e : Deps.edge) ->
-            if e.Deps.dkind <> Deps.Serial then acc + e.Deps.latency else acc)
-          1 d.Deps.edges
+          (fun acc (e : Deps_reference.edge) ->
+            if e.dkind <> Deps.Serial then acc + e.latency else acc)
+          1 d
       in
       let r = Modulo_sched.rec_mii machine loop in
       if not (1 <= r && r <= ub) then
