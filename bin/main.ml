@@ -700,7 +700,7 @@ let train_cmd =
          "Full training pipeline: sweep the suite (journalled, resumable), select \
           features, fit and cross-validate both learners, write a versioned model \
           artifact.  With --follow, tail a live journal instead and refit \
-          incrementally as sweeps complete.")
+          from scratch as sweeps complete.")
     Term.(
       const run $ config_term $ output $ swp $ joint $ journal $ model $ follow $ every
       $ idle_exit $ telemetry_flag)

@@ -26,23 +26,14 @@ let info progress fmt =
 
 (* §7: classification uses the union of the MIS top features and the greedy
    picks of both classifiers. *)
-let select_feature_subset ?(progress = false) ?warm (config : Config.t) dataset =
+let select_feature_subset ?(progress = false) (config : Config.t) dataset =
   let jobs = config.Config.jobs and k = config.Config.greedy_k in
   let scaled = Scale.apply (Scale.fit dataset) dataset in
   let mis_top =
     List.filteri (fun i _ -> i < config.Config.mis_k) (Array.to_list (Mis.rank ~jobs dataset))
   in
   info progress "feature selection: MIS done";
-  let nn_greedy =
-    (* The warm cache returns picks identical to [nn_run] — selection is
-       the same function of the dataset either way.  The SVM side below
-       always re-runs in full: its deterministic subsample re-strides as
-       the dataset grows, so no warm bound applies (the invalidation rule
-       of DESIGN.md §14). *)
-    match warm with
-    | Some cache -> Greedy_select.Warm.nn_run ~jobs ~telemetry:Telemetry.global ~k cache scaled
-    | None -> Greedy_select.nn_run ~jobs ~telemetry:Telemetry.global ~k scaled
-  in
+  let nn_greedy = Greedy_select.nn_run ~jobs ~telemetry:Telemetry.global ~k scaled in
   info progress "feature selection: greedy NN done";
   let svm_greedy =
     Greedy_select.svm_run ~jobs ~telemetry:Telemetry.global ~kernel:config.Config.svm_kernel

@@ -50,19 +50,14 @@ val info : bool -> ('a, out_channel, unit) format -> 'a
 (** [info progress fmt ...] prints a line to stderr when [progress] holds. *)
 
 val select_feature_subset :
-  ?progress:bool -> ?warm:Greedy_select.Warm.t -> Config.t -> Dataset.t ->
-  selection
+  ?progress:bool -> Config.t -> Dataset.t -> selection
 (** §7's feature selection over an unscaled dataset: the MIS top-[mis_k]
     features, the greedy picks of the NN and the SVM on the scaled
     dataset, and their union.  Shared by {!build_env} and the {!Train}
     pipeline so the experiments and a deployed artifact select
-    identically.
-
-    [warm] supplies a {!Greedy_select.Warm} cache for the greedy-NN leg —
-    identical picks, warm-started when the scaled dataset extends the
-    previous call's.  The greedy-SVM leg always re-runs in full (its
-    deterministic subsample re-strides as the dataset grows, so no
-    incremental bound applies). *)
+    identically.  Every call standardises the dataset afresh and runs both
+    greedy legs from scratch, so the selection is a function of the
+    dataset alone. *)
 
 val cross_validations :
   jobs:int -> Config.t -> selected:int array -> Dataset.t ->

@@ -50,7 +50,7 @@ let best scores =
 (* Fit the chosen learner and stamp the artifact — the tail end of the
    pipeline, shared verbatim by the batch and online paths so a followed
    journal can never produce different bits than a batch retrain. *)
-let fit ?(progress = false) ?warm ?(label_space = Model_artifact.Factor) ~loocv
+let fit ?(progress = false) ?(label_space = Model_artifact.Factor) ~loocv
     (config : Config.t) ~model ~measured ds =
   let jobs = config.Config.jobs in
   if Dataset.size ds = 0 then
@@ -58,7 +58,7 @@ let fit ?(progress = false) ?warm ?(label_space = Model_artifact.Factor) ~loocv
   let dataset_digest = Dataset.digest ds in
   info progress "train: %d/%d loops survive filters (digest %s)" (Dataset.size ds)
     measured dataset_digest;
-  let selected = (Experiments.select_feature_subset ~progress ?warm config ds).selected in
+  let selected = (Experiments.select_feature_subset ~progress config ds).selected in
   info progress "train: %d features committed" (Array.length selected);
   let scores =
     (* A forced model choice does not need the comparison to pick a
@@ -127,7 +127,6 @@ module Online = struct
     mutable o_complete : int;
     mutable o_ingested : int;
     mutable o_unknown : int;
-    o_warm : Greedy_select.Warm.t;
   }
 
   let create ?(progress = false) (config : Config.t) ~swp ~model =
@@ -150,14 +149,12 @@ module Online = struct
       o_complete = 0;
       o_ingested = 0;
       o_unknown = 0;
-      o_warm = Greedy_select.Warm.create ();
     }
 
   let total_sweeps t = Array.length t.o_tasks
   let complete_sweeps t = t.o_complete
   let ingested t = t.o_ingested
   let unknown_records t = t.o_unknown
-  let warm_cache t = t.o_warm
 
   let ingest t ~key ~factor ~cycles =
     t.o_ingested <- t.o_ingested + 1;
@@ -215,6 +212,6 @@ module Online = struct
            t.o_complete (total_sweeps t))
     else
       Ok
-        (fit ~progress:t.o_progress ~warm:t.o_warm ~loocv:false t.o_config
+        (fit ~progress:t.o_progress ~loocv:false t.o_config
            ~model:t.o_model ~measured:(Array.length rows) ds)
 end

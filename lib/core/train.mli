@@ -54,22 +54,22 @@ val run_joint :
 
 (** {1 Online training}
 
-    The incremental half of [unroll-ml train --follow]: labels stream in
-    from a {!Label_store} journal (typically tailed with
-    {!Label_store.follow} while another process sweeps) instead of being
-    measured in-process, and the model is refit as sweeps complete.
+    The trainer behind [unroll-ml train --follow]: labels stream in from
+    a {!Label_store} journal (typically tailed with {!Label_store.follow}
+    while another process sweeps) instead of being measured in-process,
+    and the model is refit as sweeps complete.
 
     The trainer only ever trains on {e journal-complete} sweeps — all
     factors 1..8 present — assembled in suite order, so the training set
     is a function of {e which} sweeps are complete, never of record
-    arrival order.  Once the journal covers the whole suite, {!Online.retrain}
-    emits an artifact bit-identical to a batch {!run} over the same
-    journal at any [-j]: the sweep cycles are the journal's, and
-    everything downstream (filters, selection, fit, artifact formatting)
-    is the same code.  Greedy-NN selection warm-starts from the previous
-    generation ({!Greedy_select.Warm}); cross-validation is skipped unless
-    the model choice is [Best] (the report carries [nan] scores then —
-    the artifact never depends on them). *)
+    arrival order.  Each {!Online.retrain} refits from scratch on those
+    sweeps — the same filters, selection, fit and artifact formatting as
+    a batch {!run}, and nothing carried over from the previous refit —
+    which is why, once the journal covers the whole suite, it emits an
+    artifact bit-identical to a batch {!run} over the same journal at
+    any [-j].  Cross-validation is skipped unless the model choice is
+    [Best] (the report carries [nan] scores then — the artifact never
+    depends on them). *)
 
 module Online : sig
   type t
@@ -95,7 +95,4 @@ module Online : sig
 
   val unknown_records : t -> int
   (** Records ignored (foreign key or bad factor). *)
-
-  val warm_cache : t -> Greedy_select.Warm.t
-  (** The greedy-NN warm cache, for instrumentation. *)
 end

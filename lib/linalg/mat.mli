@@ -13,10 +13,9 @@ val of_rows : float array array -> t
 
 val of_flat : int -> int -> float array -> t
 (** [of_flat rows cols a] wraps an existing row-major buffer (length must
-    be exactly [rows * cols]) without copying.  The matrix takes ownership
-    of [a] in the {!data} sense: callers growing flat storage (the
-    appendable NN index) hand the used prefix over for the blocked
-    kernels. *)
+    be exactly [rows * cols]) without copying.  The matrix shares [a] in
+    the {!data} sense: the NN database hands its flat storage to the
+    blocked kernels this way. *)
 
 val identity : int -> t
 

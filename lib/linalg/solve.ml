@@ -127,77 +127,6 @@ let cholesky_log_det { rows; _ } =
   done;
   2.0 *. !acc
 
-(* --- growable factorisation ---------------------------------------------
-
-   Appending row/column n to A only adds row n to L: the batch algorithm
-   computes L(n,j) = (A(n,j) - sum_{k<j} L(n,k) L(j,k)) / L(j,j) reading
-   rows 0..n-1 of the factor, which appending leaves untouched.  That
-   recurrence is a forward substitution against the existing rows with the
-   same accumulation order as the batch column loop, so the appended factor
-   is bit-identical to refactoring the extended matrix from scratch — the
-   contract {!Chol} exposes and the incremental LS-SVM trainer relies on. *)
-
-module Chol = struct
-  type t = {
-    mutable frows : float array array; (* capacity slots; frows.(i) has length i+1 *)
-    mutable n : int;
-  }
-
-  let create ?(capacity = 16) () = { frows = Array.make (max 1 capacity) [||]; n = 0 }
-
-  let of_matrix a =
-    let { rows; _ } = cholesky a in
-    { frows = rows; n = Array.length rows }
-
-  let size t = t.n
-
-  let ensure_capacity t =
-    if t.n >= Array.length t.frows then begin
-      let bigger = Array.make (max 4 (2 * Array.length t.frows)) [||] in
-      Array.blit t.frows 0 bigger 0 t.n;
-      t.frows <- bigger
-    end
-
-  let append t b =
-    let n = t.n in
-    if Array.length b <> n + 1 then invalid_arg "Solve.Chol.append: row length";
-    ensure_capacity t;
-    let y = Array.make (n + 1) 0.0 in
-    (* Forward substitution L y = b over the existing rows: identical
-       arithmetic, operand for operand, to the batch column loop's
-       treatment of a final row. *)
-    for i = 0 to n - 1 do
-      let ri = t.frows.(i) in
-      let s = ref b.(i) in
-      for k = 0 to i - 1 do
-        s := !s -. (ri.(k) *. y.(k))
-      done;
-      y.(i) <- !s /. ri.(i)
-    done;
-    let s = ref b.(n) in
-    for k = 0 to n - 1 do
-      s := !s -. (y.(k) *. y.(k))
-    done;
-    if !s <= 1e-12 then raise Singular;
-    y.(n) <- sqrt !s;
-    t.frows.(n) <- y;
-    t.n <- n + 1
-
-  let remove_last t =
-    if t.n = 0 then invalid_arg "Solve.Chol.remove_last: empty";
-    t.n <- t.n - 1;
-    t.frows.(t.n) <- [||]
-
-  (* Snapshot view: the outer array is fresh, the row arrays are shared.
-     Rows already in the factor are never mutated again (append writes a
-     new slot, remove_last only clears slots past [n]), so the snapshot
-     stays valid across later appends. *)
-  let factor t = { rows = Array.sub t.frows 0 t.n; cols = None }
-  let solve t b = cholesky_solve (factor t) b
-  let inverse_diagonal t = cholesky_inverse_diagonal (factor t)
-  let log_det t = cholesky_log_det (factor t)
-end
-
 type lu = { lu : Mat.t; perm : int array }
 
 let lu a =

@@ -29,56 +29,6 @@ val cholesky_inverse_diagonal : cholesky -> float array
 val cholesky_log_det : cholesky -> float
 (** log determinant of A (useful for conditioning diagnostics). *)
 
-(** Growable Cholesky factorisation for incremental (online) training.
-
-    Appending row/column n to a symmetric positive-definite A only appends
-    row n to its factor L — rows 0..n-1 are unchanged — so n → n+1 costs
-    one O(n²) forward substitution instead of the O(n³) refactorisation.
-
-    {b Bit-identity contract.}  After any sequence of {!Chol.append} /
-    {!Chol.remove_last} calls, the factor — and therefore every
-    {!Chol.solve} / {!Chol.inverse_diagonal} result — is bit-for-bit
-    identical to [cholesky] of the same matrix built from scratch: the
-    appended row is computed with exactly the batch column loop's
-    accumulation order (operand order included, multiplication being
-    IEEE-commutative), and batch factorisation of a leading principal
-    submatrix never reads the rows being dropped.  The exactness is not an
-    ulp bound; it is equality, and the qcheck suite enforces it on the
-    solve results {!Lssvm} consumes. *)
-module Chol : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** An empty factorisation; [capacity] preallocates row slots. *)
-
-  val of_matrix : Mat.t -> t
-  (** Batch-factorise a matrix (same algorithm, and bit-identical result,
-      as {!cholesky}).  Raises {!Singular} as {!cholesky} does. *)
-
-  val size : t -> int
-
-  val append : t -> float array -> unit
-  (** [append t b] extends the factorisation of A to that of
-      [[A b'; b'ᵀ b_n]] where [b] (length [size t + 1]) is the new
-      bordering row of the extended matrix, diagonal entry last — O(n²).
-      Raises {!Singular} if the new pivot underflows, leaving [t]
-      unchanged. *)
-
-  val remove_last : t -> unit
-  (** Downdate to the leading principal submatrix: drop the last
-      row/column — O(1) and exact, the inverse of {!append}. *)
-
-  val factor : t -> cholesky
-  (** A snapshot usable with the [cholesky_*] functions.  Shares row
-      storage but stays valid (and immutable) across later appends. *)
-
-  val solve : t -> Vec.t -> Vec.t
-  (** [cholesky_solve] against the current factor. *)
-
-  val inverse_diagonal : t -> float array
-  val log_det : t -> float
-end
-
 type lu
 (** An LU factorisation with partial pivoting, P A = L U. *)
 

@@ -59,57 +59,3 @@ val svm_run :
     {!Multiclass.training_predictions}, giving bit-identical picks to
     [run] over {!svm_training_error}.  Non-RBF kernels (no dist² form)
     fall back to the generic path. *)
-
-(** {1 Warm-started NN selection}
-
-    Online retraining repeats greedy NN selection over a dataset that
-    usually only {e extends} the previous one (old scaled coordinates
-    bit-identical, a few points appended).  {!Warm} caches per-round
-    winners with exact integer error counts and, on an extending rerun,
-    certifies each cached winner with one exact candidate evaluation plus
-    per-candidate flag scans over the appended points — falling back to a
-    full round (and, from the
-    first flipped winner, to full rounds for the rest) whenever the
-    certificate fails, and to a complete re-run whenever the dataset does
-    not extend the cached one (coordinate prefixes are compared {e
-    bitwise}, so a global re-scaling invalidates the cache as it must).
-
-    {b Identity gate.}  The returned picks are always identical — feature
-    indices and error values bit for bit — to a from-scratch {!nn_run} on
-    the same dataset; the cache only ever skips work it can prove
-    irrelevant, in the engine's own float arithmetic.  Tests enforce the
-    equality, including forced winner-flip fallbacks.
-
-    The SVM side of selection has no such bound (its deterministic
-    subsample re-strides as n grows, moving every training point), so
-    online training re-runs {!svm_run} in full — that asymmetry is the
-    warm-start invalidation rule, documented in DESIGN.md §14. *)
-
-module Warm : sig
-  type t
-  (** Mutable selection cache, reusable across training generations. *)
-
-  val create : unit -> t
-
-  val nn_run :
-    ?jobs:int -> ?telemetry:Telemetry.t -> k:int -> t -> Dataset.t ->
-    (int * float) list
-  (** Identical output to {!nn_run} [?jobs ?telemetry ~k ds], warm-started
-      from the cache when the dataset extends the cached one.  Telemetry
-      rounds are recorded under [greedy.nn-warm[round r]] with
-      [candidates] 1 for a certified round. *)
-
-  (** Instrumentation counters (monotone since [create]): *)
-
-  val primes : t -> int
-  (** Complete from-scratch runs (first call, non-extending dataset). *)
-
-  val generations : t -> int
-  (** Warm runs over an extending dataset. *)
-
-  val certified_rounds : t -> int
-  (** Rounds settled by certification alone (one candidate evaluation). *)
-
-  val full_rounds : t -> int
-  (** Rounds that ran a full candidate sweep (priming or fallback). *)
-end

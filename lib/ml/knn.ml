@@ -1,10 +1,7 @@
 type t = {
-  (* Growable flat row-major storage (capacity-doubled): the database is
-     an appendable index, so online training adds one labelled point in
-     amortised O(d) instead of rebuilding. *)
-  mutable data : float array; (* cap × d *)
-  mutable labels : int array; (* cap *)
-  mutable n : int;
+  data : float array; (* n × d, row-major *)
+  labels : int array;
+  n : int;
   d : int;
   radius : float;
   classes : int;
@@ -26,28 +23,8 @@ let n_classes t = t.classes
 let size t = t.n
 let radius t = t.radius
 
-let append t (x, label) =
-  if Array.length x <> t.d then invalid_arg "Knn.append: dimension mismatch";
-  if label < 0 || label >= t.classes then invalid_arg "Knn.append: label out of range";
-  if t.n * t.d >= Array.length t.data then begin
-    let cap = max 4 (2 * t.n) in
-    let data = Array.make (cap * t.d) 0.0 in
-    Array.blit t.data 0 data 0 (t.n * t.d);
-    let labels = Array.make cap 0 in
-    Array.blit t.labels 0 labels 0 t.n;
-    t.data <- data;
-    t.labels <- labels
-  end;
-  Array.blit x 0 t.data (t.n * t.d) t.d;
-  t.labels.(t.n) <- label;
-  t.n <- t.n + 1
-
-(* The used prefix as a Mat view for the blocked kernels.  Exact-capacity
-   databases (fresh from [train]) share the buffer; appended ones copy the
-   live prefix. *)
-let points_matrix t =
-  if Array.length t.data = t.n * t.d then Mat.of_flat t.n t.d t.data
-  else Mat.of_flat t.n t.d (Array.sub t.data 0 (t.n * t.d))
+(* The database as a Mat view for the blocked kernels. *)
+let points_matrix t = Mat.of_flat t.n t.d t.data
 
 (* dist²(x, row i) with the same left-to-right summation as [Vec.dist2];
    callers divide by d and take sqrt for the RMS-per-dimension distance. *)

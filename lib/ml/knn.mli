@@ -18,14 +18,6 @@ val n_classes : t -> int
 val size : t -> int
 val radius : t -> float
 
-val append : t -> float array * int -> unit
-(** [append t (x, label)] adds one labelled point to the database in
-    amortised O(d) — the appendable-index path online training uses
-    instead of rebuilding.  The resulting database behaves bit-identically
-    (predictions, LOO, {!export}) to [train] over the extended pair
-    array.  Raises [Invalid_argument] on a dimension mismatch or a label
-    outside [0, n_classes). *)
-
 val predict : t -> float array -> int
 (** Majority label within the radius, 1-NN fallback. *)
 

@@ -81,86 +81,6 @@ let loo_decisions ?jobs ~kernel ~gamma points target_sets =
         targets)
     target_sets
 
-(* ------------------------------------------------------------------ *)
-(* Growable ridge system: the shared factorisation of H = K + I/gamma kept
-   across appended training points.  H is label-independent, so one system
-   serves every codeword bit of a multiclass machine; appending a point
-   borders the Cholesky factor in O(n²) instead of refactoring in O(n³).
-
-   Bit-identity: the bordering row is built with [Kernel.apply], whose
-   entries are bit-identical to the blocked [Kernel.gram] matrix (the
-   blocked pairwise kernels document bit-identity with their per-pair
-   forms), and the diagonal adds 1/gamma after the kernel value in the
-   same order as [Mat.add_diagonal] — so an appended system factors the
-   same bits as a cold-started one, and [system_train] output matches
-   [train_multi] exactly. *)
-
-type system = {
-  sy_kernel : Kernel.t;
-  sy_gamma : float;
-  mutable sy_points : float array array; (* capacity-doubled; rows 0..n-1 live *)
-  mutable sy_n : int;
-  sy_chol : Solve.Chol.t;
-}
-
-let system_of_points ?jobs ~kernel ~gamma points =
-  if gamma <= 0.0 then invalid_arg "Lssvm: gamma must be positive";
-  let n = Array.length points in
-  let chol =
-    if n = 0 then Solve.Chol.create ()
-    else Solve.Chol.of_matrix (ridge_matrix ?jobs ~kernel ~gamma points)
-  in
-  {
-    sy_kernel = kernel;
-    sy_gamma = gamma;
-    sy_points = Array.copy points;
-    sy_n = n;
-    sy_chol = chol;
-  }
-
-let system_size sys = sys.sy_n
-let system_points sys = Array.sub sys.sy_points 0 sys.sy_n
-
-let system_append sys x =
-  let n = sys.sy_n in
-  if n > 0 && Array.length x <> Array.length sys.sy_points.(0) then
-    invalid_arg "Lssvm.system_append: dimension mismatch";
-  let b = Array.make (n + 1) 0.0 in
-  for i = 0 to n - 1 do
-    b.(i) <- Kernel.apply sys.sy_kernel sys.sy_points.(i) x
-  done;
-  b.(n) <- Kernel.apply sys.sy_kernel x x +. (1.0 /. sys.sy_gamma);
-  (* Factor first: a Singular raise leaves the system unchanged. *)
-  Solve.Chol.append sys.sy_chol b;
-  if n >= Array.length sys.sy_points then begin
-    let bigger = Array.make (max 4 (2 * Array.length sys.sy_points)) [||] in
-    Array.blit sys.sy_points 0 bigger 0 n;
-    sys.sy_points <- bigger
-  end;
-  sys.sy_points.(n) <- Array.copy x;
-  sys.sy_n <- n + 1
-
-let system_remove_last sys =
-  if sys.sy_n = 0 then invalid_arg "Lssvm.system_remove_last: empty";
-  Solve.Chol.remove_last sys.sy_chol;
-  sys.sy_n <- sys.sy_n - 1;
-  sys.sy_points.(sys.sy_n) <- [||]
-
-let system_solve sys targets =
-  if Array.length targets <> sys.sy_n then invalid_arg "Lssvm.system_solve: sizes";
-  Solve.Chol.solve sys.sy_chol targets
-
-let system_train sys target_sets =
-  let points = system_points sys in
-  (* One [factor] snapshot shares the transposed-column cache across all
-     target sets — the same sharing [train_multi] gets from one [cholesky]. *)
-  let f = Solve.Chol.factor sys.sy_chol in
-  Array.map
-    (fun targets ->
-      if Array.length targets <> sys.sy_n then invalid_arg "Lssvm.system_train: sizes";
-      { alphas = Solve.cholesky_solve f targets; kernel = sys.sy_kernel; points })
-    target_sets
-
 let export t = t.alphas
 
 let import ~kernel ~points ~alphas =

@@ -63,52 +63,3 @@ val loo_decisions :
     subproblem, the leave-one-out decision value for every training
     example: element [(c, i)] is f_c computed without example [i],
     evaluated at x_i.  Costs a single O(N³) inversion. *)
-
-(** {1 Growable ridge system}
-
-    The factorisation of H = K + I/gamma kept live across appended
-    training points.  H does not depend on the labels, so one system
-    serves every codeword bit of a multiclass machine; appending a point
-    borders the Cholesky factor in O(n²) (see {!Solve.Chol}) instead of
-    refactoring in O(n³) — the incremental path of online training.
-
-    {b Bit-identity contract.}  [system_train] over a system grown by any
-    interleaving of {!system_of_points} and {!system_append} returns
-    machines bit-identical to {!train_multi} over the same final point
-    set: the bordering kernel row is computed with [Kernel.apply], whose
-    entries match the blocked Gram bit for bit, and the ridge term is
-    added in the same order as [Mat.add_diagonal]. *)
-
-type system
-
-val system_of_points :
-  ?jobs:int -> kernel:Kernel.t -> gamma:float -> float array array -> system
-(** Cold-start a system over an (possibly empty) point set: one blocked
-    Gram build plus one O(n³) factorisation.  The point array is copied.
-    Raises {!Solve.Singular} if the ridge matrix is not positive
-    definite, and [Invalid_argument] if [gamma <= 0]. *)
-
-val system_size : system -> int
-
-val system_points : system -> float array array
-(** The live training points, oldest first (a fresh array of shared
-    rows). *)
-
-val system_append : system -> float array -> unit
-(** Add one training point: n kernel evaluations plus an O(n²) factor
-    bordering.  Raises {!Solve.Singular} — leaving the system unchanged —
-    if the bordered matrix loses positive definiteness. *)
-
-val system_remove_last : system -> unit
-(** Drop the most recently appended point in O(1) — the exact downdate,
-    since the factor of a leading principal submatrix never read the
-    dropped row.  Raises [Invalid_argument] on an empty system. *)
-
-val system_solve : system -> float array -> float array
-(** Solve (K + I/gamma) alpha = y for one target vector at the current
-    size. *)
-
-val system_train : system -> float array array -> trained array
-(** One {!trained} machine per target vector, sharing the live
-    factorisation and one snapshot of the points — bit-identical to
-    {!train_multi} on the same point set (see the contract above). *)

@@ -37,17 +37,6 @@ let train ?jobs ?(code = One_vs_rest) ~n_classes ~kernel ~gamma pairs =
   let machines = Lssvm.train_multi ?jobs ~kernel ~gamma points target_sets in
   { machines; codewords }
 
-let train_system ?(code = One_vs_rest) ~n_classes system labels =
-  if Array.length labels <> Lssvm.system_size system then
-    invalid_arg "Multiclass.train_system: sizes";
-  let codewords = build_codewords code n_classes in
-  let bits = Array.length codewords.(0) in
-  let target_sets =
-    Array.init bits (fun b ->
-        Array.map (fun y -> float_of_int codewords.(y).(b)) labels)
-  in
-  { machines = Lssvm.system_train system target_sets; codewords }
-
 (* Soft decoding: score of class c = sum_b codeword(c,b) * f_b; the exact
    Hamming decode on signs is recovered when decisions saturate, and
    margins resolve ties. *)

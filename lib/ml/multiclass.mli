@@ -21,14 +21,6 @@ val train :
     The Gram build fans out over [jobs] domains, bit-identical at every
     value. *)
 
-val train_system : ?code:code -> n_classes:int -> Lssvm.system -> int array -> t
-(** Train over a live {!Lssvm.system} instead of raw points: same
-    codewords and targets as {!train}, solved against the system's
-    incrementally maintained factorisation — bit-identical to [train] on
-    {!Lssvm.system_points} with the system's kernel and gamma.  This is
-    the online-training path: append points to the system, then re-derive
-    the machines in O(bits·n²). *)
-
 val predict : t -> float array -> int
 (** Soft Hamming decoding: the class whose codeword best agrees with the
     signed decision values (margins break ties). *)

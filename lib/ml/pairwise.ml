@@ -14,43 +14,34 @@
 
    Storage is *column-block*: pair (i, k) with i < k lives at
    k(k−1)/2 + i, i.e. all pairs whose larger index is k form one
-   contiguous block.  Appending point n therefore appends exactly one
-   block of n committed-subset distances at the end of the triangle —
-   O(n·|S|) via {!append} — with every existing entry untouched, which is
-   what makes the engine reusable across online-training generations.
+   contiguous block.  The NN objective's first-minimum tie-break follows
+   this walk order (see [nn_loo_error]).
 
    Determinism contract: contributions are accumulated in commit order,
    with the candidate term added last, which is exactly the left-to-right
    summation order of [Vec.dist2] over a feature subset projected in
    selection order.  Committed-plus-candidate distances are therefore
-   bit-identical to the direct recomputation the engine replaces — and
-   {!append} folds the committed contributions of the new pairs in the
-   same commit order, so an appended engine is bit-identical to one built
-   from scratch over the extended point set.  Nothing here depends on
-   [jobs] — candidate evaluations may fan out over domains that only
-   *read* the triangle. *)
+   bit-identical to the direct recomputation the engine replaces.  Nothing
+   here depends on [jobs] — candidate evaluations may fan out over domains
+   that only *read* the triangle. *)
 
 type t = {
   d : int;
-  mutable pts : float array; (* cap rows × d feature columns, row-major *)
-  mutable n : int;
-  mutable cap : int;
-  mutable tri : float array; (* strict upper triangle of committed dist², column-block *)
+  n : int;
+  pts : float array; (* n rows × d feature columns, row-major *)
+  tri : float array; (* strict upper triangle of committed dist², column-block *)
   committed : bool array; (* per-feature committed flag *)
   mutable committed_rev : int list; (* most recently committed first *)
 }
-
-let tri_len n = n * (n - 1) / 2
 
 let create points =
   let n = Mat.rows points in
   let d = Mat.cols points in
   {
     d;
-    pts = Array.sub (Mat.data points) 0 (n * d);
     n;
-    cap = n;
-    tri = Array.make (tri_len n) 0.0;
+    pts = Mat.data points;
+    tri = Array.make (n * (n - 1) / 2) 0.0;
     committed = Array.make d false;
     committed_rev = [];
   }
@@ -86,36 +77,6 @@ let commit t j =
   done;
   t.committed.(j) <- true;
   t.committed_rev <- j :: t.committed_rev
-
-let append t x =
-  if Array.length x <> t.d then invalid_arg "Pairwise.append: feature dimension";
-  let n = t.n and d = t.d in
-  if n >= t.cap then begin
-    let cap = max 4 (2 * t.cap) in
-    let pts = Array.make (cap * d) 0.0 in
-    Array.blit t.pts 0 pts 0 (n * d);
-    let tri = Array.make (tri_len cap) 0.0 in
-    Array.blit t.tri 0 tri 0 (tri_len n);
-    t.pts <- pts;
-    t.tri <- tri;
-    t.cap <- cap
-  end;
-  Array.blit x 0 t.pts (n * d) d;
-  (* New block: dist²(i, n) over the committed subset, contributions folded
-     feature by feature in commit order — entry-wise the same accumulation
-     sequence {!commit} would have produced, hence bit-identical to a
-     from-scratch engine over the extended points. *)
-  let base = tri_len n in
-  Array.fill t.tri base n 0.0;
-  List.iter
-    (fun f ->
-      let vn = x.(f) in
-      for i = 0 to n - 1 do
-        let dv = t.pts.((i * d) + f) -. vn in
-        t.tri.(base + i) <- t.tri.(base + i) +. (dv *. dv)
-      done)
-    (List.rev t.committed_rev);
-  t.n <- n + 1
 
 let iter_pairs ?cand t f =
   (match cand with
@@ -172,16 +133,9 @@ let rbf_gram ?cand ~gamma t =
       a.((k * t.n) + i) <- v);
   m
 
-let nn_loo_error_count ?cand ?nearest_out t ~labels =
-  if Array.length labels <> t.n then invalid_arg "Pairwise.nn_loo_error_count: labels";
-  (match nearest_out with
-  | Some out when Array.length out <> t.n ->
-    invalid_arg "Pairwise.nn_loo_error_count: nearest_out"
-  | _ -> ());
-  if t.n < 2 then begin
-    (match nearest_out with Some out -> Array.fill out 0 t.n infinity | None -> ());
-    0
-  end
+let nn_loo_error ?cand t ~labels =
+  if Array.length labels <> t.n then invalid_arg "Pairwise.nn_loo_error: labels";
+  if t.n < 2 then 1.0
   else begin
     (* Leave-one-out training error of [Knn] at radius 0 — the greedy-NN
        objective (§7.2) — reproduced bit for bit.  Each query sees its
@@ -262,11 +216,6 @@ let nn_loo_error_count ?cand ?nearest_out t ~labels =
         nearest_d.(k) <- !best;
         nearest.(k) <- !best_i
       done);
-    (* The per-query nearest distances fall out of the walk for free;
-       [Greedy_select.Warm] caches them as displacement thresholds. *)
-    (match nearest_out with
-    | Some out -> Array.blit nearest_d 0 out 0 t.n
-    | None -> ());
     let errs = ref 0 in
     for i = 0 to t.n - 1 do
       let pred =
@@ -277,10 +226,5 @@ let nn_loo_error_count ?cand ?nearest_out t ~labels =
       in
       if pred <> labels.(i) then incr errs
     done;
-    !errs
+    float_of_int !errs /. float_of_int t.n
   end
-
-let nn_loo_error ?cand t ~labels =
-  if Array.length labels <> t.n then invalid_arg "Pairwise.nn_loo_error: labels";
-  if t.n < 2 then 1.0
-  else float_of_int (nn_loo_error_count ?cand t ~labels) /. float_of_int t.n

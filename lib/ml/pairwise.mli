@@ -13,26 +13,25 @@
 
     The triangle is stored in {e column-block} order — pair (i, k) with
     i < k at k(k−1)/2 + i — so all pairs whose larger index is k are one
-    contiguous block.  {!append} therefore extends the engine by one point
-    in O(n·|subset|): one new point row, one new block of committed
-    distances, nothing else moves.  This is what online training leans on.
+    contiguous block, walked in ascending [k] then ascending [i].  The
+    NN objective's first-minimum tie-break depends on that walk order.
 
     {b Determinism contract.}  Contributions accumulate in commit order
     with the candidate term added last — exactly the left-to-right
     summation order of [Vec.dist2] over features projected in selection
     order — so committed-plus-candidate distances are bit-identical to
-    direct recomputation, and an appended engine is bit-identical to one
-    created from scratch over the extended point set.  Nothing depends on
-    [jobs]: candidate evaluations may fan out over {!Parallel} domains
-    that only read the triangle, and {!commit}/{!append} are the
-    sequential write points between rounds. *)
+    direct recomputation.  Nothing depends on [jobs]: candidate
+    evaluations may fan out over {!Parallel} domains that only read the
+    triangle, and {!commit} is the sequential write point between
+    rounds. *)
 
 type t
 
 val create : Mat.t -> t
 (** [create points] over an n×d row-major feature matrix, with the empty
-    committed subset (all distances 0).  The points are copied into
-    growable storage, so the argument is not retained. *)
+    committed subset (all distances 0).  The engine reads the matrix's
+    buffer in place ({!Mat.data}), so [points] must not change while the
+    engine is in use. *)
 
 val of_dataset : Dataset.t -> t * int array
 (** Engine over {!Dataset.points_matrix}, plus the label vector. *)
@@ -52,13 +51,6 @@ val commit : t -> int -> unit
 (** Fold a feature's pairwise contribution into the running triangle —
     O(n²), once per greedy round.  Raises [Invalid_argument] if the
     feature is out of range or already committed. *)
-
-val append : t -> float array -> unit
-(** [append t x] adds point [x] (length {!dim}) with index [size t],
-    extending the triangle by one contiguous block of committed-subset
-    distances — O(n·|subset|), amortised over capacity doubling.  The
-    resulting engine is bit-identical to [create] over the extended
-    matrix followed by the same commits. *)
 
 val iter_pairs : ?cand:int -> t -> (int -> int -> float -> unit) -> unit
 (** [iter_pairs ?cand t f] calls [f i k dist2] for every pair [i < k] in
@@ -82,13 +74,3 @@ val nn_loo_error : ?cand:int -> t -> labels:int array -> float
     index), except that exact duplicates (dist² = 0) majority-vote, which
     is Knn's [<=] radius test at radius 0.  Returns 1.0 when fewer than
     two points exist. *)
-
-val nn_loo_error_count :
-  ?cand:int -> ?nearest_out:float array -> t -> labels:int array -> int
-(** The same objective as an integer misclassification count (0 when
-    fewer than two points exist) — the form warm-started greedy selection
-    caches, since counts admit exact ±bounds under appended points where
-    ratios do not.  [nearest_out] (length [size]) is filled, when given,
-    with each query's nearest-other dist² under the scored subset
-    ([infinity] when fewer than two points exist) — the displacement
-    thresholds the warm cache certifies against, at no extra cost. *)

@@ -1,10 +1,3 @@
-type ridge = { model : Lssvm.trained }
-
-let train_ridge ~kernel ~gamma points responses =
-  { model = Lssvm.train ~kernel ~gamma points responses }
-
-let predict_ridge r x = Lssvm.decision r.model x
-
 type knn_reg = { k : int; points : float array array; responses : float array }
 
 let train_knn ?(k = 5) points responses =
@@ -37,16 +30,3 @@ let argmin_factor ~predict features =
     end
   done;
   !best
-
-let r_squared ~truth ~predicted =
-  if Array.length truth <> Array.length predicted then
-    invalid_arg "Regression.r_squared: sizes";
-  let mean = Stats.mean truth in
-  let ss_res = ref 0.0 and ss_tot = ref 0.0 in
-  Array.iteri
-    (fun i t ->
-      let e = t -. predicted.(i) in
-      ss_res := !ss_res +. (e *. e);
-      ss_tot := !ss_tot +. ((t -. mean) *. (t -. mean)))
-    truth;
-  if !ss_tot = 0.0 then 1.0 else 1.0 -. (!ss_res /. !ss_tot)

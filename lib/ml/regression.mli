@@ -2,26 +2,11 @@
 
     §8: "future work will consider regression, which can predict values
     outside the range of the labels with which the learning algorithm is
-    trained."  Two regressors are provided:
-
-    - kernel ridge regression (the regression form of the LS-SVM already
-      used for classification, sharing its solver), and
-    - near-neighbor regression (distance-weighted average of the k nearest
-      training responses),
-
-    plus a harness that turns per-factor cycle predictions into an
+    trained."  This module provides near-neighbor regression
+    (distance-weighted average of the k nearest training responses), plus
+    a harness that turns per-factor cycle predictions into an
     unroll-factor decision by arg-min — the "regress the whole curve, then
     choose" alternative to direct classification. *)
-
-type ridge
-
-val train_ridge :
-  kernel:Kernel.t -> gamma:float -> float array array -> float array -> ridge
-(** [train_ridge ~kernel ~gamma points responses] fits kernel ridge
-    regression (identical normal equations to the LS-SVM with continuous
-    targets). *)
-
-val predict_ridge : ridge -> float array -> float
 
 type knn_reg
 
@@ -36,6 +21,3 @@ val argmin_factor :
 (** [argmin_factor ~predict features] evaluates a per-(features, factor)
     cost predictor at factors 1..8 and returns the arg-min factor — how a
     regression model plugs into the compiler's decision. *)
-
-val r_squared : truth:float array -> predicted:float array -> float
-(** Coefficient of determination of a prediction vector. *)

@@ -50,13 +50,6 @@ let test_boost_deterministic () =
 
 (* --- Regression --- *)
 
-let test_ridge_fits_linear () =
-  let points = Array.init 40 (fun i -> [| float_of_int i /. 10.0 |]) in
-  let responses = Array.map (fun p -> (3.0 *. p.(0)) +. 1.0) points in
-  let r = Regression.train_ridge ~kernel:(Kernel.Rbf 0.5) ~gamma:1000.0 points responses in
-  let predicted = Array.map (Regression.predict_ridge r) points in
-  Alcotest.(check bool) "r2 high" true (Regression.r_squared ~truth:responses ~predicted > 0.99)
-
 let test_knn_regression_interpolates () =
   let points = [| [| 0.0 |]; [| 1.0 |]; [| 2.0 |]; [| 3.0 |] |] in
   let responses = [| 0.0; 10.0; 20.0; 30.0 |] in
@@ -70,13 +63,6 @@ let test_knn_regression_interpolates () =
 let test_argmin_factor () =
   let predict _ u = Float.abs (float_of_int u -. 5.2) in
   Alcotest.(check int) "argmin at 5" 5 (Regression.argmin_factor ~predict [||])
-
-let test_r_squared_perfect_and_mean () =
-  let truth = [| 1.0; 2.0; 3.0 |] in
-  Alcotest.(check (float 1e-9)) "perfect" 1.0 (Regression.r_squared ~truth ~predicted:truth);
-  let mean_pred = [| 2.0; 2.0; 2.0 |] in
-  Alcotest.(check (float 1e-9)) "mean predictor = 0" 0.0
-    (Regression.r_squared ~truth ~predicted:mean_pred)
 
 (* --- Profiler --- *)
 
@@ -171,10 +157,8 @@ let base_suite =
     ("boost separable", `Quick, test_boost_separable);
     ("boost xor", `Quick, test_boost_beats_stump_on_xor);
     ("boost deterministic", `Quick, test_boost_deterministic);
-    ("ridge linear", `Quick, test_ridge_fits_linear);
     ("knn regression", `Quick, test_knn_regression_interpolates);
     ("argmin factor", `Quick, test_argmin_factor);
-    ("r squared", `Quick, test_r_squared_perfect_and_mean);
     ("profile totals", `Quick, test_profile_accounts_for_total);
     ("profile gather stalls", `Quick, test_profile_gather_stalls);
     ("profile branch amortised", `Quick, test_profile_unroll_reduces_branch);

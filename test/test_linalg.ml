@@ -139,91 +139,6 @@ let test_inverse_general () =
   Alcotest.(check bool) "general inverse" true
     (Mat.equal ~eps:1e-9 (Mat.mul a inv) (Mat.identity 2))
 
-(* --- Solve.Chol: growable factorisation --- *)
-
-let bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v) a b
-
-let bordering_row a k =
-  (* Row k of [a] truncated to its leading k+1 entries: the bordering row
-     of the (k+1)×(k+1) leading principal submatrix, diagonal last. *)
-  Array.init (k + 1) (fun j -> Mat.get a k j)
-
-let test_chol_grow_from_empty () =
-  (* Every prefix of an append sequence starting from the empty
-     factorisation must solve bit-identically to the batch path. *)
-  let n = 8 in
-  let a = random_spd n in
-  let c = Solve.Chol.create ~capacity:2 () in
-  for k = 0 to n - 1 do
-    Solve.Chol.append c (bordering_row a k);
-    let m = k + 1 in
-    let lead = Mat.init m m (fun i j -> Mat.get a i j) in
-    let b = Array.init m (fun i -> float_of_int (i + 1)) in
-    Alcotest.(check bool)
-      (Printf.sprintf "prefix %d solve bits" m)
-      true
-      (bits_equal (Solve.Chol.solve c b) (Solve.cholesky_solve (Solve.cholesky lead) b))
-  done
-
-let test_chol_of_matrix_matches_batch () =
-  let n = 7 in
-  let a = random_spd n in
-  let c = Solve.Chol.of_matrix a in
-  let b = random_vec n in
-  Alcotest.(check int) "size" n (Solve.Chol.size c);
-  Alcotest.(check bool) "solve bits" true
-    (bits_equal (Solve.Chol.solve c b) (Solve.cholesky_solve (Solve.cholesky a) b));
-  Alcotest.(check bool) "inverse diagonal bits" true
-    (bits_equal
-       (Solve.Chol.inverse_diagonal c)
-       (Solve.cholesky_inverse_diagonal (Solve.cholesky a)));
-  Alcotest.(check bool) "log det bits" true
-    (Int64.bits_of_float (Solve.Chol.log_det c)
-    = Int64.bits_of_float (Solve.cholesky_log_det (Solve.cholesky a)))
-
-let test_chol_remove_last_roundtrip () =
-  let n = 6 in
-  let a = random_spd (n + 1) in
-  let lead = Mat.init n n (fun i j -> Mat.get a i j) in
-  let c = Solve.Chol.of_matrix lead in
-  let b = random_vec n in
-  let before = Solve.Chol.solve c b in
-  Solve.Chol.append c (bordering_row a n);
-  Solve.Chol.remove_last c;
-  Alcotest.(check int) "size restored" n (Solve.Chol.size c);
-  Alcotest.(check bool) "solve bits restored" true (bits_equal before (Solve.Chol.solve c b))
-
-let test_chol_singular_append_leaves_unchanged () =
-  let a = random_spd 3 in
-  let c = Solve.Chol.of_matrix a in
-  let b = random_vec 3 in
-  let before = Solve.Chol.solve c b in
-  (* Bordering row duplicating row 2 of A makes the extended matrix
-     rank-deficient: the new pivot underflows. *)
-  let dup = [| Mat.get a 2 0; Mat.get a 2 1; Mat.get a 2 2; Mat.get a 2 2 |] in
-  Alcotest.check_raises "singular" Solve.Singular (fun () -> Solve.Chol.append c dup);
-  Alcotest.(check int) "size unchanged" 3 (Solve.Chol.size c);
-  Alcotest.(check bool) "solve unchanged" true (bits_equal before (Solve.Chol.solve c b))
-
-let test_chol_factor_survives_append () =
-  (* A factor snapshot keeps answering for its own size even after the
-     growable state has moved on — the property [Lssvm.system_train]
-     relies on between retrain and append. *)
-  let n = 5 in
-  let a = random_spd (n + 1) in
-  let lead = Mat.init n n (fun i j -> Mat.get a i j) in
-  let c = Solve.Chol.of_matrix lead in
-  let snap = Solve.Chol.factor c in
-  let b = random_vec n in
-  let before = Solve.cholesky_solve snap b in
-  Solve.Chol.append c (bordering_row a n);
-  Alcotest.(check bool) "snapshot solve stable" true
-    (bits_equal before (Solve.cholesky_solve snap b));
-  Alcotest.(check bool) "snapshot = batch of lead" true
-    (bits_equal before (Solve.cholesky_solve (Solve.cholesky lead) b))
-
 (* --- Eigen --- *)
 
 let test_eigen_diagonal () =
@@ -359,34 +274,6 @@ let prop_pairwise_dist2_matches_scalar =
       done;
       !ok)
 
-let spd_pair_gen =
-  (* An SPD matrix of size n+1 (n in 1..6) together with its leading n×n
-     principal submatrix — the before/after of one append. *)
-  QCheck.Gen.(
-    let* n = 1 -- 6 in
-    let m = n + 1 in
-    let* entries = array_size (return (m * m)) (float_bound_exclusive 2.0) in
-    let b = Mat.init m m (fun i j -> entries.((i * m) + j) -. 1.0) in
-    let a = Mat.mul (Mat.transpose b) b in
-    Mat.add_diagonal a 1.0;
-    return (Mat.init n n (fun i j -> Mat.get a i j), a))
-
-let prop_chol_append_vs_batch =
-  (* The .mli contract: update (cholesky A) row ≡ cholesky (append A row),
-     bit for bit on the solve results Lssvm consumes. *)
-  QCheck.Test.make ~count:200 ~name:"chol append = batch cholesky, bitwise"
-    (QCheck.make spd_pair_gen)
-    (fun (lead, full) ->
-      let m = Mat.rows full in
-      let c = Solve.Chol.of_matrix lead in
-      Solve.Chol.append c (bordering_row full (m - 1));
-      let batch = Solve.cholesky full in
-      let b = Array.init m (fun i -> float_of_int (i + 1)) in
-      bits_equal (Solve.Chol.solve c b) (Solve.cholesky_solve batch b)
-      && bits_equal (Solve.Chol.inverse_diagonal c) (Solve.cholesky_inverse_diagonal batch)
-      && Int64.bits_of_float (Solve.Chol.log_det c)
-         = Int64.bits_of_float (Solve.cholesky_log_det batch))
-
 let prop_eigen_trace =
   QCheck.Test.make ~count:100 ~name:"eigenvalues sum to trace"
     (QCheck.make small_spd_gen)
@@ -428,17 +315,11 @@ let suite =
     ("eigen orthonormal", `Quick, test_eigen_orthonormal);
     ("eigen 2x2", `Quick, test_eigen_known_2x2);
     ("top eigenvectors", `Quick, test_top_eigenvectors);
-    ("chol grow from empty", `Quick, test_chol_grow_from_empty);
-    ("chol of_matrix = batch", `Quick, test_chol_of_matrix_matches_batch);
-    ("chol remove_last roundtrip", `Quick, test_chol_remove_last_roundtrip);
-    ("chol singular append unchanged", `Quick, test_chol_singular_append_leaves_unchanged);
-    ("chol factor survives append", `Quick, test_chol_factor_survives_append);
     ("row norms2", `Quick, test_row_norms2);
     ("gram multiblock", `Quick, test_gram_multiblock);
     ("pairwise dist2 multiblock", `Quick, test_pairwise_dist2_multiblock);
     QCheck_alcotest.to_alcotest prop_gram_blocked_matches_scalar;
     QCheck_alcotest.to_alcotest prop_pairwise_dist2_matches_scalar;
     QCheck_alcotest.to_alcotest prop_cholesky_vs_lu;
-    QCheck_alcotest.to_alcotest prop_chol_append_vs_batch;
     QCheck_alcotest.to_alcotest prop_eigen_trace;
   ]

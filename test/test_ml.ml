@@ -633,219 +633,9 @@ let prop_pairwise_incremental_exact =
       done;
       !ok)
 
-(* --- Incremental (online-training) identities --- *)
-
 let bits_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v) a b
-
-(* A reproducible pool of points with graded per-feature signal, so greedy
-   selection has a stable feature ordering across prefixes. *)
-let pool_points ~n ~d ~classes seed =
-  let st = Random.State.make [| seed |] in
-  let labels = Array.init n (fun _ -> Random.State.int st classes) in
-  let points =
-    Array.map
-      (fun l ->
-        Array.init d (fun j ->
-            (float_of_int l *. 0.8 *. float_of_int j /. float_of_int d)
-            +. Random.State.float st 2.0 -. 1.0))
-      labels
-  in
-  (points, labels)
-
-let pool_dataset ~classes ~d points labels n =
-  Dataset.create
-    ~feature_names:(Array.init d (Printf.sprintf "f%d"))
-    ~n_classes:classes
-    (List.init n (fun i -> mk_example (Array.copy points.(i)) labels.(i) (Array.make classes 1.0)))
-
-let test_pairwise_append_matches_scratch () =
-  let d = 5 in
-  let points, labels = pool_points ~n:14 ~d ~classes:3 101 in
-  let flat k = Mat.init k d (fun i j -> points.(i).(j)) in
-  let engine = Pairwise.create (flat 11) in
-  List.iter (Pairwise.commit engine) [ 2; 0 ];
-  for i = 11 to 13 do
-    Pairwise.append engine points.(i)
-  done;
-  let scratch = Pairwise.create (flat 14) in
-  List.iter (Pairwise.commit scratch) [ 2; 0 ];
-  (* bit-identical triangles: every pairwise distance, every candidate
-     count, and the RBF Gram agree with the from-scratch engine *)
-  for i = 0 to 13 do
-    for k = i + 1 to 13 do
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "dist2 %d,%d" i k)
-        (Pairwise.dist2 scratch i k) (Pairwise.dist2 engine i k)
-    done
-  done;
-  List.iter
-    (fun c ->
-      Alcotest.(check int)
-        (Printf.sprintf "count cand %d" c)
-        (Pairwise.nn_loo_error_count ~cand:c scratch ~labels)
-        (Pairwise.nn_loo_error_count ~cand:c engine ~labels))
-    [ 1; 3; 4 ];
-  Alcotest.(check int) "count committed"
-    (Pairwise.nn_loo_error_count scratch ~labels)
-    (Pairwise.nn_loo_error_count engine ~labels);
-  Alcotest.(check bool) "rbf gram bits" true
-    (bits_equal
-       (Mat.data (Pairwise.rbf_gram ~gamma:0.7 scratch))
-       (Mat.data (Pairwise.rbf_gram ~gamma:0.7 engine)))
-
-let test_pairwise_nearest_out () =
-  let d = 4 in
-  let points, labels = pool_points ~n:10 ~d ~classes:2 102 in
-  let engine = Pairwise.create (Mat.init 10 d (fun i j -> points.(i).(j))) in
-  Pairwise.commit engine 1;
-  let out = Array.make 10 nan in
-  ignore (Pairwise.nn_loo_error_count ~cand:3 ~nearest_out:out engine ~labels);
-  for i = 0 to 9 do
-    let m = ref infinity in
-    for k = 0 to 9 do
-      if k <> i then m := Float.min !m (Pairwise.dist2 ~cand:3 engine i k)
-    done;
-    Alcotest.(check (float 0.0)) (Printf.sprintf "nearest %d" i) !m out.(i)
-  done
-
-let test_knn_append_matches_retrain () =
-  let points, labels = pool_points ~n:30 ~d:4 ~classes:3 103 in
-  let pair i = (points.(i), labels.(i)) in
-  let grown = Knn.train ~radius:0.6 ~n_classes:3 (Array.init 22 pair) in
-  for i = 22 to 29 do
-    Knn.append grown (pair i)
-  done;
-  let scratch = Knn.train ~radius:0.6 ~n_classes:3 (Array.init 30 pair) in
-  Alcotest.(check (array int)) "loo predictions" (Knn.loo_predictions scratch)
-    (Knn.loo_predictions grown);
-  let r1, c1, p1 = Knn.export grown and r2, c2, p2 = Knn.export scratch in
-  Alcotest.(check bool) "export equal" true
-    (r1 = r2 && c1 = c2
-    && Array.for_all2 (fun (x, l) (y, m) -> l = m && bits_equal x y) p1 p2);
-  let probe = Array.make 4 0.25 in
-  Alcotest.(check int) "predict agrees" (Knn.predict scratch probe) (Knn.predict grown probe)
-
-let test_lssvm_system_append_matches_train_multi () =
-  let kernel = Kernel.Rbf 0.5 and gamma = 8.0 in
-  let points, labels = pool_points ~n:12 ~d:4 ~classes:2 104 in
-  let targets n =
-    Array.init 2 (fun c ->
-        Array.init n (fun i -> if labels.(i) = c then 1.0 else -1.0))
-  in
-  let sys = Lssvm.system_of_points ~kernel ~gamma (Array.sub points 0 9) in
-  for i = 9 to 11 do
-    Lssvm.system_append sys points.(i)
-  done;
-  let inc = Lssvm.system_train sys (targets 12) in
-  let batch = Lssvm.train_multi ~kernel ~gamma points (targets 12) in
-  Alcotest.(check bool) "machines bit-identical" true
-    (Array.for_all2 (fun a b -> bits_equal (Lssvm.export a) (Lssvm.export b)) inc batch);
-  (* downdate is the exact inverse of append *)
-  for _ = 1 to 3 do
-    Lssvm.system_remove_last sys
-  done;
-  let back = Lssvm.system_train sys (targets 9) in
-  let batch9 = Lssvm.train_multi ~kernel ~gamma (Array.sub points 0 9) (targets 9) in
-  Alcotest.(check bool) "downdate bit-identical" true
-    (Array.for_all2 (fun a b -> bits_equal (Lssvm.export a) (Lssvm.export b)) back batch9)
-
-let test_multiclass_train_system_matches_train () =
-  let kernel = Kernel.Rbf 0.4 and gamma = 6.0 in
-  let points, labels = pool_points ~n:18 ~d:3 ~classes:3 105 in
-  let pairs = Array.init 18 (fun i -> (points.(i), labels.(i))) in
-  let sys = Lssvm.system_of_points ~kernel ~gamma (Array.sub points 0 13) in
-  for i = 13 to 17 do
-    Lssvm.system_append sys points.(i)
-  done;
-  let via_system = Multiclass.train_system ~n_classes:3 sys labels in
-  let batch = Multiclass.train ~n_classes:3 ~kernel ~gamma pairs in
-  let cw1, m1 = Multiclass.export via_system and cw2, m2 = Multiclass.export batch in
-  Alcotest.(check bool) "codewords equal" true (cw1 = cw2);
-  Alcotest.(check bool) "machines bit-identical" true
-    (Array.for_all2 (fun a b -> bits_equal (Lssvm.export a) (Lssvm.export b)) m1 m2)
-
-let test_warm_nn_run_matches_batch () =
-  let d = 6 and classes = 3 and k = 3 in
-  let n0 = 40 and step = 5 and gens = 3 in
-  let points, labels = pool_points ~n:(n0 + (step * gens)) ~d ~classes 106 in
-  let cache = Greedy_select.Warm.create () in
-  for g = 0 to gens do
-    let n = n0 + (g * step) in
-    let ds = pool_dataset ~classes ~d points labels n in
-    let warm = Greedy_select.Warm.nn_run ~k cache ds in
-    let batch = Greedy_select.nn_run ~k ds in
-    Alcotest.(check (list (pair int (float 0.0))))
-      (Printf.sprintf "gen %d picks" g)
-      batch warm
-  done;
-  Alcotest.(check int) "one prime" 1 (Greedy_select.Warm.primes cache);
-  Alcotest.(check int) "extending generations" gens (Greedy_select.Warm.generations cache);
-  Alcotest.(check int) "round accounting" ((gens + 1) * k)
-    (Greedy_select.Warm.certified_rounds cache + Greedy_select.Warm.full_rounds cache)
-
-let test_warm_nn_run_reprimes_on_mutation () =
-  (* A dataset that is NOT a bitwise extension of the cached one (same
-     size, one perturbed feature) must fall back to a full re-prime and
-     still match the batch output. *)
-  let d = 5 and classes = 2 and k = 2 in
-  let points, labels = pool_points ~n:24 ~d ~classes 107 in
-  let cache = Greedy_select.Warm.create () in
-  let ds = pool_dataset ~classes ~d points labels 24 in
-  ignore (Greedy_select.Warm.nn_run ~k cache ds);
-  points.(3).(2) <- points.(3).(2) +. 0.5;
-  let mutated = pool_dataset ~classes ~d points labels 24 in
-  let warm = Greedy_select.Warm.nn_run ~k cache mutated in
-  let batch = Greedy_select.nn_run ~k mutated in
-  Alcotest.(check (list (pair int (float 0.0)))) "mutated picks" batch warm;
-  Alcotest.(check int) "re-primed" 2 (Greedy_select.Warm.primes cache);
-  (* shrinking is not an extension either *)
-  let shrunk = pool_dataset ~classes ~d points labels 20 in
-  let warm' = Greedy_select.Warm.nn_run ~k cache shrunk in
-  Alcotest.(check (list (pair int (float 0.0)))) "shrunk picks"
-    (Greedy_select.nn_run ~k shrunk) warm';
-  Alcotest.(check int) "re-primed again" 3 (Greedy_select.Warm.primes cache)
-
-let prop_warm_equals_batch =
-  (* The certification contract across random growth schedules: warm
-     output is identical to from-scratch output at every generation. *)
-  QCheck.Test.make ~count:25 ~name:"warm greedy = batch greedy across generations"
-    QCheck.(
-      make
-        Gen.(
-          let* seed = 0 -- 1000 in
-          let* n0 = 12 -- 30 in
-          let* steps = list_size (1 -- 3) (1 -- 6) in
-          return (seed, n0, steps)))
-    (fun (seed, n0, steps) ->
-      let d = 5 and classes = 3 and k = 3 in
-      let n_max = n0 + List.fold_left ( + ) 0 steps in
-      let points, labels = pool_points ~n:n_max ~d ~classes (1000 + seed) in
-      let cache = Greedy_select.Warm.create () in
-      let check n =
-        let ds = pool_dataset ~classes ~d points labels n in
-        Greedy_select.Warm.nn_run ~k cache ds = Greedy_select.nn_run ~k ds
-      in
-      let n = ref n0 in
-      check !n
-      && List.for_all
-           (fun s ->
-             n := !n + s;
-             check !n)
-           steps)
-
-let incremental_tests =
-  [
-    ("pairwise append = scratch", `Quick, test_pairwise_append_matches_scratch);
-    ("pairwise nearest_out", `Quick, test_pairwise_nearest_out);
-    ("knn append = retrain", `Quick, test_knn_append_matches_retrain);
-    ("lssvm system append = train_multi", `Quick, test_lssvm_system_append_matches_train_multi);
-    ("multiclass train_system = train", `Quick, test_multiclass_train_system_matches_train);
-    ("warm greedy = batch greedy", `Quick, test_warm_nn_run_matches_batch);
-    ("warm greedy re-primes", `Quick, test_warm_nn_run_reprimes_on_mutation);
-    QCheck_alcotest.to_alcotest prop_warm_equals_batch;
-  ]
 
 let pairwise_tests =
   [
@@ -1030,5 +820,4 @@ let mlp_tests =
   ]
 
 let suite =
-  base_tests @ loocv_tests @ kernel_string_tests @ pairwise_tests @ incremental_tests
-  @ mlp_tests
+  base_tests @ loocv_tests @ kernel_string_tests @ pairwise_tests @ mlp_tests
