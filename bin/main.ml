@@ -3,9 +3,17 @@
    Subcommands mirror the workflow of the paper: generate and label the
    workload ([dataset]), inspect a single loop through the whole pipeline
    ([inspect]), run any table/figure reproduction ([experiment]), and train
-   or query predictors ([predict]). *)
+   or query predictors ([predict]).  Each one only parses its arguments and
+   calls the library; the ones that take a configuration get it, and
+   --telemetry, from the shared [configured] term. *)
 
 open Cmdliner
+
+(* Print to stderr and exit with [code]. *)
+let die ?(code = 2) fmt = Printf.kfprintf (fun _ -> exit code) stderr fmt
+
+(* The value of [r], or exit with its error printed after [prefix]. *)
+let or_die ?code prefix = function Ok x -> x | Error e -> die ?code "%s%s\n" prefix e
 
 (* [-j]: 0 = the default width, absent = [default]. *)
 let jobs_of ~default = function
@@ -19,9 +27,8 @@ let config_of ~fast ~scale ~seed ~machine ~runs ~noise ~jobs =
     match Machine.by_name machine with
     | Some m -> m
     | None ->
-      Printf.eprintf "unknown machine '%s'; available:%s\n" machine
-        (String.concat "" (List.map (fun m -> " " ^ m.Machine.mach_name) Machine.all));
-      exit 2
+      die "unknown machine '%s'; available:%s\n" machine
+        (String.concat "" (List.map (fun m -> " " ^ m.Machine.mach_name) Machine.all))
   in
   {
     base with
@@ -75,6 +82,23 @@ let config_term =
         config_of ~fast ~scale ~seed ~machine ~runs ~noise ~jobs)
     $ fast_flag $ scale_opt $ seed_opt $ machine_opt $ runs_opt $ noise_opt $ jobs_opt)
 
+let swp_flag = Arg.(value & flag & info [ "swp" ] ~doc:"Software pipelining enabled.")
+
+let output_opt default ~doc =
+  Arg.(value & opt string default & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+(* The positional .loop FILE; [presence] is [Arg.required] or [Arg.value]. *)
+let loop_file ?(doc = "A .loop file (see `unroll-ml export`).") presence =
+  presence Arg.(pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let corpus_opt ~doc = Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR" ~doc)
+
+let artifact_opt name presence =
+  presence
+    Arg.(
+      opt (some file) None
+      & info [ name ] ~docv:"FILE" ~doc:"Model artifact written by `unroll-ml train`.")
+
 (* Rates derived from the raw counters — the table above only shows the
    absolute counts.  A section is omitted when its denominator is zero
    (e.g. no simulation ran). *)
@@ -101,34 +125,44 @@ let rate_summary t =
   rate "deps-memo hit rate" dh (dh + dm);
   if Buffer.length buf = 0 then "" else "derived rates\n" ^ Buffer.contents buf
 
-let with_telemetry telemetry f =
-  Fun.protect
-    ~finally:(fun () ->
-      if telemetry then begin
-        print_string (Telemetry.to_table Telemetry.global);
-        print_string (rate_summary Telemetry.global)
-      end)
-    f
+(* [body] followed, under --telemetry, by the pass table and its rates. *)
+let telemetry_term body =
+  let run f telemetry =
+    Fun.protect
+      ~finally:(fun () ->
+        if telemetry then begin
+          print_string (Telemetry.to_table Telemetry.global);
+          print_string (rate_summary Telemetry.global)
+        end)
+      f
+  in
+  Term.(const run $ body $ telemetry_flag)
+
+(* The term every config-taking command shares: [body] receives the parsed
+   Config.t and, unless [~telemetry:false], runs under --telemetry. *)
+let configured ?(telemetry = true) body =
+  let run = Term.(const (fun config body () -> body config) $ config_term $ body) in
+  if telemetry then telemetry_term run else Term.(const (fun run -> run ()) $ run)
 
 (* Every loop in a .loop file; a parse error exits 2. *)
 let read_loops path =
-  match Loop_text.parse_many (In_channel.with_open_bin path In_channel.input_all) with
-  | Ok loops -> loops
-  | Error e ->
-    Printf.eprintf "parse error: %s\n" e;
-    exit 2
+  or_die "parse error: " (Loop_text.parse_many (In_channel.with_open_bin path In_channel.input_all))
 
 (* The built-in kernels at trip 256: what [export] writes and
    [predict --kernels] predicts. *)
 let kernel_loops () = List.map (fun (name, maker) -> maker ~name ~trip:256) Kernels.all
 
 (* The fuzz reproducer corpus; an unreadable one exits 2. *)
-let load_corpus dir =
-  match Fuzz.Driver.load_corpus dir with
-  | Ok entries -> entries
-  | Error e ->
-    Printf.eprintf "corpus: %s\n" e;
-    exit 2
+let load_corpus dir = or_die "corpus: " (Fuzz.Driver.load_corpus dir)
+
+(* [Some u] is that factor alone, [None] every factor. *)
+let factors = function Some u -> [ u ] | None -> List.init Unroll.max_factor (fun i -> i + 1)
+
+(* [f] over a connection to a running server; an unreachable one exits 2
+   with [who] before the error. *)
+let with_client who addr f =
+  let client = or_die who (Serve_client.connect addr) in
+  Fun.protect ~finally:(fun () -> Serve_client.close client) (fun () -> f client)
 
 (* A server response [want] accepts, or exit 1 with every other case
    reported on stderr as "<who>: ...". *)
@@ -136,12 +170,11 @@ let expect_response ~who ~busy ~unexpected want (r : Wire.response) =
   match want r with
   | Some v -> v
   | None ->
-    Printf.eprintf "%s: %s\n" who
+    die ~code:1 "%s: %s\n" who
       (match r with
       | Wire.Failure e -> e
       | Wire.Busy -> busy
-      | Wire.Factor _ | Wire.Okay _ -> Printf.sprintf "unexpected %s response" unexpected);
-    exit 1
+      | Wire.Factor _ | Wire.Okay _ -> Printf.sprintf "unexpected %s response" unexpected)
 
 (* One loop at factor [u] the way its label is measured: compiled, then
    run warm at the config's simulation window. *)
@@ -154,58 +187,40 @@ let measure (config : Config.t) ~swp loop u =
 
 (* dataset *)
 let dataset_cmd =
-  let output =
-    Arg.(value & opt string "dataset.csv" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output CSV path.")
-  in
-  let swp =
-    Arg.(value & flag & info [ "swp" ] ~doc:"Label with software pipelining enabled.")
-  in
-  let run config output swp telemetry =
-    with_telemetry telemetry (fun () ->
-        let benchmarks = Suite.full ~scale:config.Config.scale ~seed:config.Config.seed in
-        let labeled = Labeling.collect ~jobs:config.Config.jobs config ~swp benchmarks in
-        let ds = Labeling.to_dataset config labeled in
-        Dataset.to_csv ds output;
-        Printf.printf "wrote %d labelled loops (of %d measured) to %s\n" (Dataset.size ds)
-          (Array.length labeled) output)
+  let run output swp config =
+    let benchmarks = Suite.full ~scale:config.Config.scale ~seed:config.Config.seed in
+    let labeled = Labeling.collect ~jobs:config.Config.jobs config ~swp benchmarks in
+    let ds = Labeling.to_dataset config labeled in
+    Dataset.to_csv ds output;
+    Printf.printf "wrote %d labelled loops (of %d measured) to %s\n" (Dataset.size ds)
+      (Array.length labeled) output
   in
   Cmd.v
     (Cmd.info "dataset" ~doc:"Generate the 72-benchmark suite, label every loop, write a CSV.")
-    Term.(const run $ config_term $ output $ swp $ telemetry_flag)
+    (configured Term.(const run $ output_opt "dataset.csv" ~doc:"Output CSV path." $ swp_flag))
 
 (* experiment *)
 let experiment_cmd =
+  let experiments =
+    Experiments.
+      [
+        ("fig1", fig1); ("fig2", fig2); ("fig3", fig3); ("table2", table2);
+        ("table3", table3); ("table4", table4); ("fig4", fig4); ("fig5", fig5);
+        ("joint", joint); ("summary", summary); ("ablations", ablations);
+        ("timing", timing); ("all", all);
+      ]
+  in
   let which =
-    let all = [ "fig1"; "fig2"; "fig3"; "table2"; "table3"; "table4"; "fig4"; "fig5"; "joint"; "summary"; "ablations"; "timing"; "all" ] in
+    let names = List.map fst experiments in
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun s -> (s, s)) all))) None
-      & info [] ~docv:"EXPERIMENT" ~doc:"One of fig1 fig2 fig3 table2 table3 table4 fig4 fig5 joint summary ablations timing all.")
+      & pos 0 (some (enum (List.map (fun s -> (s, s)) names))) None
+      & info [] ~docv:"EXPERIMENT" ~doc:("One of " ^ String.concat " " names ^ "."))
   in
-  let run config which telemetry =
-    with_telemetry telemetry (fun () ->
-        let env = Experiments.build_env config in
-        let out =
-          match which with
-          | "fig1" -> Experiments.fig1 env
-          | "fig2" -> Experiments.fig2 env
-          | "fig3" -> Experiments.fig3 env
-          | "table2" -> Experiments.table2 env
-          | "table3" -> Experiments.table3 env
-          | "table4" -> Experiments.table4 env
-          | "fig4" -> Experiments.fig4 env
-          | "fig5" -> Experiments.fig5 env
-          | "joint" -> Experiments.joint env
-          | "summary" -> Experiments.summary env
-          | "ablations" -> Experiments.ablations env
-          | "timing" -> Experiments.timing env
-          | _ -> Experiments.all env
-        in
-        print_string out)
-  in
+  let run which config = print_string (List.assoc which experiments (Experiments.build_env config)) in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce a table or figure from the paper.")
-    Term.(const run $ config_term $ which $ telemetry_flag)
+    (configured Term.(const run $ which))
 
 (* inspect *)
 let inspect_cmd =
@@ -221,56 +236,50 @@ let inspect_cmd =
   let factor =
     Arg.(value & opt (some int) None & info [ "unroll" ] ~docv:"U" ~doc:"Unroll factor to show (default: sweep all).")
   in
-  let swp = Arg.(value & flag & info [ "swp" ] ~doc:"Software pipelining enabled.") in
-  let run config kernel trip factor swp telemetry =
-    match List.assoc_opt kernel Kernels.all with
-    | None ->
-      Printf.eprintf "unknown kernel '%s'; try `unroll-ml kernels`\n" kernel;
-      exit 2
-    | Some maker ->
-      with_telemetry telemetry @@ fun () ->
-      let loop = maker ~name:kernel ~trip in
-      Format.printf "%a@." Pretty.pp_loop loop;
-      let features = Features.extract config.Config.machine loop in
-      Format.printf "features:@.";
-      Array.iteri
-        (fun i v -> Format.printf "  %-26s %g@." Features.names.(i) v)
-        features;
-      let factors = match factor with Some u -> [ u ] | None -> List.init 8 (fun i -> i + 1) in
-      List.iter
-        (fun u ->
-          let exe, cycles = measure config ~swp loop u in
-          let kind =
-            match exe.Simulator.schedules with
-            | (s, _, _) :: _ -> begin
-              match s.Schedule.kind with
-              | Schedule.Straight -> Printf.sprintf "straight len=%d" s.Schedule.length
-              | Schedule.Pipelined { ii; stages } -> Printf.sprintf "pipelined II=%d stages=%d" ii stages
-            end
-            | [] -> "?"
-          in
-          Format.printf "u=%d: %d cycles (%s, %d spills, %dB code)@." u cycles kind
-            exe.Simulator.total_spills exe.Simulator.total_code_bytes)
-        factors;
-      let orc = Orc_heuristic.predict config.Config.machine ~swp loop in
-      Format.printf "ORC heuristic picks u=%d@." orc
+  let run kernel trip factor swp config =
+    let maker =
+      match List.assoc_opt kernel Kernels.all with
+      | Some maker -> maker
+      | None -> die "unknown kernel '%s'; try `unroll-ml kernels`\n" kernel
+    in
+    let loop = maker ~name:kernel ~trip in
+    Format.printf "%a@." Pretty.pp_loop loop;
+    let features = Features.extract config.Config.machine loop in
+    Format.printf "features:@.";
+    Array.iteri
+      (fun i v -> Format.printf "  %-26s %g@." Features.names.(i) v)
+      features;
+    List.iter
+      (fun u ->
+        let exe, cycles = measure config ~swp loop u in
+        let kind =
+          match exe.Simulator.schedules with
+          | (s, _, _) :: _ -> begin
+            match s.Schedule.kind with
+            | Schedule.Straight -> Printf.sprintf "straight len=%d" s.Schedule.length
+            | Schedule.Pipelined { ii; stages } -> Printf.sprintf "pipelined II=%d stages=%d" ii stages
+          end
+          | [] -> "?"
+        in
+        Format.printf "u=%d: %d cycles (%s, %d spills, %dB code)@." u cycles kind
+          exe.Simulator.total_spills exe.Simulator.total_code_bytes)
+      (factors factor);
+    let orc = Orc_heuristic.predict config.Config.machine ~swp loop in
+    Format.printf "ORC heuristic picks u=%d@." orc
   in
   Cmd.v
     (Cmd.info "inspect" ~doc:"Compile and simulate one kernel across unroll factors.")
-    Term.(const run $ config_term $ kernel $ trip $ factor $ swp $ telemetry_flag)
+    (configured Term.(const run $ kernel $ trip $ factor $ swp_flag))
 
 (* export *)
 let export_cmd =
-  let output =
-    Arg.(value & opt string "loops.txt" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output path.")
-  in
   let what =
     Arg.(
       value
       & opt (enum [ ("suite", `Suite); ("kernels", `Kernels) ]) `Kernels
       & info [ "what" ] ~docv:"WHAT" ~doc:"'kernels' (default) or the full 'suite'.")
   in
-  let run config output what =
+  let run output what config =
     let loops =
       match what with
       | `Kernels -> kernel_loops ()
@@ -289,28 +298,25 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Write loops in the textual format (the paper's released raw loop data).")
-    Term.(const run $ config_term $ output $ what)
+    (configured ~telemetry:false
+       Term.(const run $ output_opt "loops.txt" ~doc:"Output path." $ what))
 
 (* inspect-file *)
 let inspect_file_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"A .loop file (see `unroll-ml export`).")
-  in
-  let swp = Arg.(value & flag & info [ "swp" ] ~doc:"Software pipelining enabled.") in
-  let run config file swp =
+  let run file swp config =
     List.iter
       (fun loop ->
         Format.printf "%a@." Pretty.pp_loop loop;
-        for u = 1 to Unroll.max_factor do
-          Format.printf "  u=%d: %d cycles@." u (snd (measure config ~swp loop u))
-        done;
+        List.iter
+          (fun u -> Format.printf "  u=%d: %d cycles@." u (snd (measure config ~swp loop u)))
+          (factors None);
         Format.printf "  ORC heuristic picks u=%d@.@."
           (Orc_heuristic.predict config.Config.machine ~swp loop))
       (read_loops file)
   in
   Cmd.v
     (Cmd.info "inspect-file" ~doc:"Parse loops from the textual format and sweep them.")
-    Term.(const run $ config_term $ file $ swp)
+    (configured ~telemetry:false Term.(const run $ loop_file Arg.required $ swp_flag))
 
 (* fuzz *)
 let fuzz_cmd =
@@ -327,16 +333,12 @@ let fuzz_cmd =
              function of (seed, budget) — identical at any $(b,--jobs) setting.")
   in
   let corpus =
-    Arg.(
-      value
-      & opt string "corpus"
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:
-            "Reproducer corpus: every .loop file is replayed before the campaign, and \
-             shrunk crashes are serialised back into it.")
+    corpus_opt
+      ~doc:
+        "Reproducer corpus: every .loop file is replayed before the campaign, and \
+         shrunk crashes are serialised back into it."
   in
-  let run seed budget corpus jobs telemetry =
-    with_telemetry telemetry @@ fun () ->
+  let run seed budget corpus jobs () =
     let jobs = jobs_of ~default:1 jobs in
     let replay_violations =
       let entries = load_corpus corpus in
@@ -374,26 +376,17 @@ let fuzz_cmd =
          "Differential fuzzing: generate adversarial loops, check every transform and \
           the simulator against the reference interpreter, shrink and serialise any \
           failure.")
-    Term.(const run $ fuzz_seed $ budget $ corpus $ jobs_opt $ telemetry_flag)
+    (telemetry_term Term.(const run $ fuzz_seed $ budget $ corpus $ jobs_opt))
 
 (* verify *)
 let verify_cmd =
   let corpus =
-    Arg.(
-      value
-      & opt string "corpus"
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:
-            "Reproducer corpus to verify (the default mode): every .loop file is \
-             checked at its recorded coordinates.")
+    corpus_opt
+      ~doc:
+        "Reproducer corpus to verify (the default mode): every .loop file is \
+         checked at its recorded coordinates."
   in
-  let file =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"Verify loops parsed from a .loop file instead of the corpus.")
-  in
+  let file = loop_file ~doc:"Verify loops parsed from a .loop file instead of the corpus." Arg.value in
   let factor =
     Arg.(
       value
@@ -432,9 +425,13 @@ let verify_cmd =
     write (base ^ ".report.txt") (Verify.Validate.report_to_string report ^ "\n");
     base ^ ".loop"
   in
-  let run config corpus file factor fuzz_n fuzz_seed out telemetry =
-    with_telemetry telemetry @@ fun () ->
-    let tl = Telemetry.global in
+  (* A fuzz case, checked at its own (SWP, RLE) coordinate and factor. *)
+  let verify_case (c : Fuzz.Gen.case) =
+    Verify.Validate.verify_case ~telemetry:Telemetry.global
+      ~coords:[ (c.Fuzz.Gen.swp, c.Fuzz.Gen.rle) ]
+      ~machine:c.Fuzz.Gen.machine c.Fuzz.Gen.loop ~factor:c.Fuzz.Gen.factor
+  in
+  let run corpus file factor fuzz_n fuzz_seed out config =
     let failures = ref 0 in
     let show ?header report =
       Option.iter print_endline header;
@@ -447,12 +444,7 @@ let verify_cmd =
       let reports =
         Parallel.tabulate ~jobs n (fun id ->
             let c = Fuzz.Gen.case ~seed:fuzz_seed ~id () in
-            let r =
-              Verify.Validate.verify_case ~telemetry:tl
-                ~coords:[ (c.Fuzz.Gen.swp, c.Fuzz.Gen.rle) ]
-                ~machine:c.Fuzz.Gen.machine c.Fuzz.Gen.loop ~factor:c.Fuzz.Gen.factor
-            in
-            (c, r))
+            (c, verify_case c))
       in
       Array.iter
         (fun (c, r) ->
@@ -464,30 +456,20 @@ let verify_cmd =
       Printf.printf "verified %d fuzz case(s) (seed %d): %d failure(s)\n" n fuzz_seed
         !failures
     | None, Some f ->
-      let loops = read_loops f in
-      let factors =
-        match factor with
-        | Some u -> [ u ]
-        | None -> List.init Unroll.max_factor (fun i -> i + 1)
-      in
       List.iter
         (fun loop ->
           List.iter
             (fun u ->
               show
-                (Verify.Validate.verify_case ~telemetry:tl
+                (Verify.Validate.verify_case ~telemetry:Telemetry.global
                    ~machine:config.Config.machine loop ~factor:u))
-            factors)
-        loops
+            (factors factor))
+        (read_loops f)
     | None, None ->
       let entries = load_corpus corpus in
       List.iter
         (fun (fname, (repro : Fuzz.Driver.repro)) ->
-          let c = repro.Fuzz.Driver.rcase in
-          show ~header:("== " ^ fname)
-            (Verify.Validate.verify_case ~telemetry:tl
-               ~coords:[ (c.Fuzz.Gen.swp, c.Fuzz.Gen.rle) ]
-               ~machine:c.Fuzz.Gen.machine c.Fuzz.Gen.loop ~factor:c.Fuzz.Gen.factor))
+          show ~header:("== " ^ fname) (verify_case repro.Fuzz.Driver.rcase))
         entries;
       Printf.printf "corpus verify: %d file(s), %d not proved\n" (List.length entries)
         !failures);
@@ -499,18 +481,10 @@ let verify_cmd =
          "Bounded translation validation: symbolically prove unroll, RLE and the full \
           pipeline observationally equivalent to the source loop for every trip count \
           up to a bound, over the corpus, a .loop file, or generated fuzz cases.")
-    Term.(
-      const run $ config_term $ corpus $ file $ factor $ fuzz_n $ fuzz_seed $ out
-      $ telemetry_flag)
+    (configured Term.(const run $ corpus $ file $ factor $ fuzz_n $ fuzz_seed $ out))
 
 (* train *)
 let train_cmd =
-  let output =
-    Arg.(value & opt string "model.artifact" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Artifact output path.")
-  in
-  let swp =
-    Arg.(value & flag & info [ "swp" ] ~doc:"Label with software pipelining enabled.")
-  in
   let journal =
     Arg.(
       value
@@ -570,21 +544,16 @@ let train_cmd =
              final artifact and exit (default: follow forever).")
   in
   (* Online training: tail a journal another process is writing, refit every
-     [--every] completed sweeps, and atomically replace the artifact so a
-     concurrent `ctl reload` can never observe a half-written file.  Each
-     emitted version appends a lineage line (version, parent digest, own
-     digest, dataset digest) to OUTPUT.lineage — the digest chain that ties a
-     served model back through every generation to its training data.  The
-     digests live in the sidecar, not the artifact, so an online artifact
-     stays bit-identical to the batch retrain over the same journal. *)
+     [--every] completed sweeps, and replace the artifact ([Model_artifact.save]
+     renames it into place, so a concurrent `ctl reload` can never observe a
+     half-written file).  Each emitted version appends a lineage line
+     (version, parent digest, own digest, dataset digest) to OUTPUT.lineage —
+     the digest chain that ties a served model back through every generation
+     to its training data.  The digests live in the sidecar, not the
+     artifact, so an online artifact stays bit-identical to the batch
+     retrain over the same journal. *)
   let run_follow config ~output ~swp ~model ~path ~every ~idle_exit =
-    let fl =
-      match Label_store.follow path with
-      | Ok fl -> fl
-      | Error e ->
-        Printf.eprintf "follow: %s\n" e;
-        exit 2
-    in
+    let fl = or_die "follow: " (Label_store.follow path) in
     let online = Train.Online.create ~progress:false config ~swp ~model in
     let version = ref 0 in
     let parent = ref "-" in
@@ -598,9 +567,7 @@ let train_cmd =
       | Ok (artifact, report) ->
         incr version;
         let digest = Digest.to_hex (Digest.string (Model_artifact.to_string artifact)) in
-        let tmp = Printf.sprintf "%s.tmp.%d" output (Unix.getpid ()) in
-        Model_artifact.save artifact tmp;
-        Sys.rename tmp output;
+        Model_artifact.save artifact output;
         Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 (output ^ ".lineage")
           (fun oc ->
             Printf.fprintf oc "v%d parent %s digest %s dataset %s\n" !version !parent
@@ -632,67 +599,52 @@ let train_cmd =
     if Train.Online.unknown_records online > 0 then
       Printf.eprintf "follow: ignored %d foreign records\n%!"
         (Train.Online.unknown_records online);
-    if !version = 0 then begin
-      Printf.eprintf "follow: no artifact emitted (%d/%d sweeps complete)\n"
+    if !version = 0 then
+      die ~code:1 "follow: no artifact emitted (%d/%d sweeps complete)\n"
         (Train.Online.complete_sweeps online)
-        (Train.Online.total_sweeps online);
-      exit 1
-    end
+        (Train.Online.total_sweeps online)
   in
-  let run config output swp joint journal model follow every idle_exit telemetry =
-    with_telemetry telemetry (fun () ->
-        if joint && swp then begin
-          (* --joint sweeps both SWP settings itself; a pinned setting
-             contradicts it. *)
-          Printf.eprintf "train: --joint and --swp are exclusive\n";
-          exit 2
-        end;
-        match follow with
-        | Some path ->
-          if joint then begin
-            Printf.eprintf "train: --joint is not supported with --follow\n";
-            exit 2
-          end;
-          if journal <> None then begin
-            Printf.eprintf "train: --follow and --journal are exclusive\n";
-            exit 2
-          end;
-          (try run_follow config ~output ~swp ~model ~path ~every:(max 1 every) ~idle_exit
-           with Label_store.Corrupt e ->
-             Printf.eprintf "follow: %s\n" e;
-             exit 1)
-        | None ->
-          let journal =
-            match journal with
-            | None -> None
-            | Some path -> (
-              match Label_store.open_ path with
-              | Ok j ->
-                if Label_store.recovered_records j > 0 then
-                  Printf.eprintf "journal: resumed %d records from %s (%d torn bytes discarded)\n%!"
-                    (Label_store.recovered_records j) path (Label_store.truncated_bytes j);
-                Some j
-              | Error e ->
-                Printf.eprintf "journal: %s\n" e;
-                exit 2)
-          in
-          Fun.protect
-            ~finally:(fun () -> Option.iter Label_store.close journal)
-            (fun () ->
-              let artifact, report =
-                if joint then Train.run_joint ~progress:true ?journal config ~model
-                else Train.run ~progress:true ?journal config ~swp ~model
-              in
-              Model_artifact.save artifact output;
-              Printf.printf "trained %s model (%s space) on %d loops (%d measured), %d features\n"
-                report.Train.chosen
-                (Model_artifact.label_space_name artifact.Model_artifact.label_space)
-                report.Train.kept report.Train.measured
-                (Array.length report.Train.features);
-              Printf.printf "cross-validation accuracy: %s\n"
-                (Train.cv_summary report.Train.cv_scores);
-              Printf.printf "dataset digest: %s\n" report.Train.dataset_digest;
-              Printf.printf "wrote %s\n" output))
+  let run_batch config ~output ~swp ~joint ~model journal =
+    let journal =
+      Option.map
+        (fun path ->
+          let j = or_die "journal: " (Label_store.open_ path) in
+          if Label_store.recovered_records j > 0 then
+            Printf.eprintf "journal: resumed %d records from %s (%d torn bytes discarded)\n%!"
+              (Label_store.recovered_records j) path (Label_store.truncated_bytes j);
+          j)
+        journal
+    in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Label_store.close journal)
+      (fun () ->
+        let artifact, report =
+          if joint then Train.run_joint ~progress:true ?journal config ~model
+          else Train.run ~progress:true ?journal config ~swp ~model
+        in
+        Model_artifact.save artifact output;
+        Printf.printf "trained %s model (%s space) on %d loops (%d measured), %d features\n"
+          report.Train.chosen
+          (Model_artifact.label_space_name artifact.Model_artifact.label_space)
+          report.Train.kept report.Train.measured
+          (Array.length report.Train.features);
+        Printf.printf "cross-validation accuracy: %s\n"
+          (Train.cv_summary report.Train.cv_scores);
+        Printf.printf "dataset digest: %s\n" report.Train.dataset_digest;
+        Printf.printf "wrote %s\n" output)
+  in
+  let run output swp joint journal model follow every idle_exit config =
+    match (joint, swp, follow, journal) with
+    | true, true, _, _ ->
+      (* --joint sweeps both SWP settings itself; a pinned setting
+         contradicts it. *)
+      die "train: --joint and --swp are exclusive\n"
+    | true, _, Some _, _ -> die "train: --joint is not supported with --follow\n"
+    | _, _, Some _, Some _ -> die "train: --follow and --journal are exclusive\n"
+    | _, _, Some path, None -> (
+      try run_follow config ~output ~swp ~model ~path ~every:(max 1 every) ~idle_exit
+      with Label_store.Corrupt e -> die ~code:1 "follow: %s\n" e)
+    | _, _, None, journal -> run_batch config ~output ~swp ~joint ~model journal
   in
   Cmd.v
     (Cmd.info "train"
@@ -701,18 +653,13 @@ let train_cmd =
           features, fit and cross-validate both learners, write a versioned model \
           artifact.  With --follow, tail a live journal instead and refit \
           from scratch as sweeps complete.")
-    Term.(
-      const run $ config_term $ output $ swp $ joint $ journal $ model $ follow $ every
-      $ idle_exit $ telemetry_flag)
+    (configured
+       Term.(
+         const run $ output_opt "model.artifact" ~doc:"Artifact output path." $ swp_flag
+         $ joint $ journal $ model $ follow $ every $ idle_exit))
 
 (* predict *)
 let predict_cmd =
-  let artifact =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "artifact" ] ~docv:"FILE" ~doc:"Model artifact written by `unroll-ml train`.")
-  in
   let remote =
     Arg.(
       value
@@ -726,91 +673,52 @@ let predict_cmd =
   let kernels =
     Arg.(value & flag & info [ "kernels" ] ~doc:"Predict for the built-in kernel loops.")
   in
-  let file =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"A .loop file (see `unroll-ml export`).")
-  in
-  let output =
-    Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output path ('-' = stdout).")
-  in
-  let run config artifact remote kernels file output telemetry =
-    with_telemetry telemetry (fun () ->
-        let loops =
-          match (kernels, file) with
-          | true, None -> kernel_loops ()
-          | false, Some path -> read_loops path
-          | _ ->
-            Printf.eprintf "predict: give exactly one of --kernels or a .loop FILE\n";
-            exit 2
+  let run artifact remote kernels file output config =
+    let loops =
+      match (kernels, file) with
+      | true, None -> kernel_loops ()
+      | false, Some path -> read_loops path
+      | _ -> die "predict: give exactly one of --kernels or a .loop FILE\n"
+    in
+    (* Decisions are [(factor, swp)]; [swps] stays [None] unless a local
+       joint-space artifact answered, so factor-space output (local and
+       remote) is byte-identical to what it always was. *)
+    let factors, swps =
+      match (remote, artifact) with
+      | Some addr, _ ->
+        (* The remote path speaks the same Wire codec as the server and
+           the load bench; responses come back in request order. *)
+        let responses =
+          with_client "remote: " addr (fun client ->
+              or_die "remote: " (Serve_client.predict_all client loops))
         in
-        (* Decisions are [(factor, swp)]; [swps] stays [None] unless a local
-           joint-space artifact answered, so factor-space output (local and
-           remote) is byte-identical to what it always was. *)
-        let factors, swps =
-          match (remote, artifact) with
-          | Some addr, _ -> begin
-            (* The remote path speaks the same Wire codec as the server and
-               the load bench; responses come back in request order. *)
-            let client =
-              match Serve_client.connect addr with
-              | Ok c -> c
-              | Error e ->
-                Printf.eprintf "remote: %s\n" e;
-                exit 2
-            in
-            Fun.protect
-              ~finally:(fun () -> Serve_client.close client)
-              (fun () ->
-                match Serve_client.predict_all client loops with
-                | Error e ->
-                  Printf.eprintf "remote: %s\n" e;
-                  exit 2
-                | Ok responses ->
-                  let factor = function Wire.Factor f -> Some f | _ -> None in
-                  ( Array.map
-                      (expect_response ~who:"remote" ~busy:"server shed the request (busy)"
-                         ~unexpected:"control" factor)
-                      responses,
-                    None ))
-          end
-          | None, Some artifact -> begin
-            let service =
-              match
-                Result.bind (Model_artifact.load artifact) (Predict_service.create config)
-              with
-              | Ok s -> s
-              | Error e ->
-                Printf.eprintf "artifact: %s\n" e;
-                exit 2
-            in
-            match Predict_service.label_space service with
-            | Model_artifact.Factor -> (Predict_service.predict_batch service loops, None)
-            | Model_artifact.Joint ->
-              let decisions = Predict_service.predict_joint_batch service loops in
-              (Array.map fst decisions, Some (Array.map snd decisions))
-          end
-          | None, None ->
-            Printf.eprintf "predict: give --artifact FILE or --remote HOST:PORT\n";
-            exit 2
-        in
-        let buf = Buffer.create 256 in
-        List.iteri
-          (fun i loop ->
-            match swps with
-            | None ->
-              Buffer.add_string buf (Printf.sprintf "%s %d\n" loop.Loop.name factors.(i))
-            | Some swps ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s %d swp=%s\n" loop.Loop.name factors.(i)
-                   (if swps.(i) then "on" else "off")))
-          loops;
-        if output = "-" then print_string (Buffer.contents buf)
-        else begin
-          Out_channel.with_open_text output (fun oc -> Buffer.output_buffer oc buf);
-          Printf.printf "wrote %d predictions to %s\n" (List.length loops) output
-        end)
+        let factor = function Wire.Factor f -> Some f | _ -> None in
+        ( Array.map
+            (expect_response ~who:"remote" ~busy:"server shed the request (busy)"
+               ~unexpected:"control" factor)
+            responses,
+          None )
+      | None, Some path -> (
+        let service = or_die "artifact: " (Predict_service.load config path) in
+        match Predict_service.label_space service with
+        | Model_artifact.Factor -> (Predict_service.predict_batch service loops, None)
+        | Model_artifact.Joint ->
+          let decisions = Predict_service.predict_joint_batch service loops in
+          (Array.map fst decisions, Some (Array.map snd decisions)))
+      | None, None -> die "predict: give --artifact FILE or --remote HOST:PORT\n"
+    in
+    let line i loop =
+      let swp =
+        match swps with None -> "" | Some s -> if s.(i) then " swp=on" else " swp=off"
+      in
+      Printf.sprintf "%s %d%s\n" loop.Loop.name factors.(i) swp
+    in
+    let text = String.concat "" (List.mapi line loops) in
+    if output = "-" then print_string text
+    else begin
+      Out_channel.with_open_text output (fun oc -> output_string oc text);
+      Printf.printf "wrote %d predictions to %s\n" (List.length loops) output
+    end
   in
   Cmd.v
     (Cmd.info "predict"
@@ -818,18 +726,14 @@ let predict_cmd =
          "Batched prediction from a model artifact (or a running server with \
           --remote): verify provenance against the serving machine, print `name \
           factor` per loop (joint-space artifacts add `swp=on|off`).")
-    Term.(
-      const run $ config_term $ artifact $ remote $ kernels $ file $ output
-      $ telemetry_flag)
+    (configured
+       Term.(
+         const run $ artifact_opt "artifact" Arg.value $ remote $ kernels
+         $ loop_file Arg.value
+         $ output_opt "-" ~doc:"Output path ('-' = stdout)."))
 
 (* serve *)
 let serve_cmd =
-  let model =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "model" ] ~docv:"FILE" ~doc:"Model artifact written by `unroll-ml train`.")
-  in
   let port =
     Arg.(value & opt int 7811 & info [ "port" ] ~docv:"P" ~doc:"Listen port (0 = ephemeral).")
   in
@@ -890,43 +794,37 @@ let serve_cmd =
             "Max disagreement rate (fraction of shadowed loops) at which a shadow \
              candidate is still promoted (default 0: require exact agreement).")
   in
-  let run config model port host batch_window_us batch_cap queue_cap cache_cap
-      drain_timeout shadow_window shadow_threshold telemetry =
-    with_telemetry telemetry (fun () ->
-        let opts =
-          {
-            Serve.host;
-            port;
-            jobs = config.Config.jobs;
-            batch_window = float_of_int (max 0 batch_window_us) /. 1e6;
-            batch_cap = max 1 batch_cap;
-            queue_cap = max 1 queue_cap;
-            cache_capacity = max 0 cache_cap;
-            drain_timeout = Float.max 0. drain_timeout;
-            shadow_window = max 0 shadow_window;
-            shadow_threshold = Float.max 0. shadow_threshold;
-          }
-        in
-        match Serve.listen ~opts config ~artifact:model with
-        | Error e ->
-          Printf.eprintf "%s\n" e;
-          exit 2
-        | Ok server ->
-          (* SIGINT/SIGTERM drain gracefully; SIGHUP hot-reloads the model
-             path in place.  Handlers only flip atomic flags the accept loop
-             polls — nothing signal-unsafe runs here. *)
-          let stop _ = Serve.stop server in
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sighup
-            (Sys.Signal_handle (fun _ -> Serve.request_reload server model));
-          Printf.printf
-            "unroll-ml serve: listening on %s:%d (model %s, batch window %dus cap \
-             %d, queue %d, jobs %d)\n%!"
-            host (Serve.port server) model batch_window_us opts.Serve.batch_cap
-            opts.Serve.queue_cap opts.Serve.jobs;
-          Serve.run server;
-          print_string (Serve.stats_text server))
+  let run model port host batch_window_us batch_cap queue_cap cache_cap drain_timeout
+      shadow_window shadow_threshold config =
+    let opts =
+      {
+        Serve.host;
+        port;
+        jobs = config.Config.jobs;
+        batch_window = float_of_int (max 0 batch_window_us) /. 1e6;
+        batch_cap = max 1 batch_cap;
+        queue_cap = max 1 queue_cap;
+        cache_capacity = max 0 cache_cap;
+        drain_timeout = Float.max 0. drain_timeout;
+        shadow_window = max 0 shadow_window;
+        shadow_threshold = Float.max 0. shadow_threshold;
+      }
+    in
+    let server = or_die "" (Serve.listen ~opts config ~artifact:model) in
+    (* SIGINT/SIGTERM drain gracefully; SIGHUP hot-reloads the model path in
+       place.  Handlers only flip atomic flags the accept loop polls —
+       nothing signal-unsafe runs here. *)
+    let stop _ = Serve.stop server in
+    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+    Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> Serve.request_reload server model));
+    Printf.printf
+      "unroll-ml serve: listening on %s:%d (model %s, batch window %dus cap %d, queue \
+       %d, jobs %d)\n%!"
+      host (Serve.port server) model batch_window_us opts.Serve.batch_cap
+      opts.Serve.queue_cap opts.Serve.jobs;
+    Serve.run server;
+    print_string (Serve.stats_text server)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -934,10 +832,11 @@ let serve_cmd =
          "Serve predictions over TCP: connections are multiplexed into adaptive \
           micro-batches with admission control and backpressure; SIGHUP (or the \
           `reload` control frame) hot-swaps the model without dropping requests.")
-    Term.(
-      const run $ config_term $ model $ port $ host $ batch_window_us $ batch_cap
-      $ queue_cap $ cache_cap $ drain_timeout $ shadow_window $ shadow_threshold
-      $ telemetry_flag)
+    (configured
+       Term.(
+         const run $ artifact_opt "model" Arg.required $ port $ host $ batch_window_us
+         $ batch_cap $ queue_cap $ cache_cap $ drain_timeout $ shadow_window
+         $ shadow_threshold))
 
 (* ctl *)
 let ctl_cmd =
@@ -955,26 +854,15 @@ let ctl_cmd =
           ~doc:"Control command: ping | stats | reload PATH | shutdown.")
   in
   let run addr command =
-    match Serve_client.connect addr with
-    | Error e ->
-      Printf.eprintf "ctl: %s\n" e;
-      exit 2
-    | Ok client ->
-      Fun.protect
-        ~finally:(fun () -> Serve_client.close client)
-        (fun () ->
-          match Serve_client.control client (String.concat " " command) with
-          | Ok r ->
-            let text =
-              expect_response ~who:"ctl" ~busy:"server busy" ~unexpected:"prediction"
-                (function Wire.Okay text -> Some text | _ -> None)
-                r
-            in
-            print_string text;
-            if text = "" || text.[String.length text - 1] <> '\n' then print_newline ()
-          | Error e ->
-            Printf.eprintf "ctl: %s\n" e;
-            exit 1)
+    with_client "ctl: " addr (fun client ->
+        let r = or_die ~code:1 "ctl: " (Serve_client.control client (String.concat " " command)) in
+        let text =
+          expect_response ~who:"ctl" ~busy:"server busy" ~unexpected:"prediction"
+            (function Wire.Okay text -> Some text | _ -> None)
+            r
+        in
+        print_string text;
+        if text = "" || text.[String.length text - 1] <> '\n' then print_newline ())
   in
   Cmd.v
     (Cmd.info "ctl"

@@ -76,9 +76,7 @@ let collect ?progress ?(jobs = 1) ?journal (config : Config.t) ~swp benchmarks =
     let d = Atomic.fetch_and_add done_ 1 + 1 in
     (match progress with
     | Some f ->
-      Mutex.lock progress_mutex;
-      Fun.protect ~finally:(fun () -> Mutex.unlock progress_mutex) (fun () ->
-          f ~done_:d ~total)
+      Mutex.protect progress_mutex (fun () -> f ~done_:d ~total)
     | None -> ());
     { bench; loop; weight; cycles }
   in

@@ -148,9 +148,17 @@ let of_string text =
       }
   with Learner.Malformed msg -> Error ("Model_artifact: " ^ msg)
 
+(* Write a sibling temp file, then rename it over [path]: a concurrent
+   reader (a server's hot reload) sees the old artifact or the new one,
+   never a torn file. *)
 let save t path =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  try
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc (to_string t));
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let load ?(telemetry = Telemetry.global) path =
   let t0 = Unix.gettimeofday () in

@@ -76,6 +76,8 @@ val of_string : string -> (t, string) result
     offending line; malformed input never raises. *)
 
 val save : t -> string -> unit
+(** Write {!to_string} to a temp file beside [path], then rename it over
+    [path], so a reader never sees a partly written artifact. *)
 
 val load : ?telemetry:Telemetry.t -> string -> (t, string) result
 (** {!of_string} over a file.  Load wall-time is recorded in [telemetry]

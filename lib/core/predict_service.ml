@@ -1,7 +1,6 @@
 type t = {
   config : Config.t;
   predictor : Predictor.t;
-  feature_names : string array;
   (* Identity of the loaded artifact.  Counters below belong to this
      service instance, so tagging the instance with the artifact digest
      makes every stat unambiguously since-load: a hot reload builds a new
@@ -34,7 +33,6 @@ let create ?telemetry ?(cache_capacity = default_cache_capacity) (config : Confi
         {
           config;
           predictor;
-          feature_names = artifact.Model_artifact.feature_names;
           model_kind = Model_artifact.kind artifact;
           model_digest =
             Digest.to_hex (Digest.string (Model_artifact.to_string artifact));
@@ -42,6 +40,9 @@ let create ?telemetry ?(cache_capacity = default_cache_capacity) (config : Confi
           telemetry;
           cache = Memo.create cache_capacity;
         })
+
+let load ?telemetry ?cache_capacity config path =
+  Result.bind (Model_artifact.load ?telemetry path) (create ?telemetry ?cache_capacity config)
 
 let predictor t = t.predictor
 
@@ -80,33 +81,10 @@ let classify_batch ?(jobs = 1) t loops =
   (* Featurisation stays sequential so cache insertion order — and with it
      FIFO eviction — is deterministic in the request order. *)
   let vectors = Array.map (fun i -> featurize t loops.(i)) idx in
-  if Array.length idx > 0 then begin
-    (* Assemble the batch as one flat matrix via the same path the training
-       datasets take.  The rows come back out bit-identical, so this is a
-       pure layout step, but it keeps the service on the flat row-major
-       allocation pattern the numeric kernels expect and exercises
-       [points_matrix] from the serving side. *)
-    let n_classes = Model_artifact.n_classes t.label_space in
-    let examples =
-      Array.to_list
-        (Array.mapi
-           (fun k x ->
-             {
-               Dataset.features = x;
-               label = 0;
-               tag = loops.(idx.(k)).Loop.name;
-               group = "predict";
-               costs = Array.make n_classes 0.;
-             })
-           vectors)
-    in
-    let ds = Dataset.create ~feature_names:t.feature_names ~n_classes examples in
-    let m, _labels = Dataset.points_matrix ds in
-    (* Row classifications are independent and land at their input index, so
-       fanning them over the domain pool is bit-identical at any [jobs]. *)
-    Parallel.iter ~jobs (Array.length idx) (fun k ->
-        out.(idx.(k)) <- Predictor.classify_scaled t.predictor (Mat.row m k))
-  end;
+  (* Row classifications are independent and land at their input index, so
+     fanning them over the domain pool is bit-identical at any [jobs]. *)
+  Parallel.iter ~jobs (Array.length idx) (fun k ->
+      out.(idx.(k)) <- Predictor.classify_scaled t.predictor vectors.(k));
   record t "loops" n;
   record t "vector-cache-hits" (cache_hits t - hits0);
   record t "vector-cache-misses" (cache_misses t - misses0);

@@ -3,9 +3,10 @@
 
     A service wraps one {!Model_artifact} — verified against the serving
     machine, reconstructed through {!Predictor.of_artifact} — and answers
-    prediction traffic in batches: query loops are featurised once, the
-    scaled vectors assembled into one flat row-major matrix through
-    {!Dataset.points_matrix}, and classified row by row.  A
+    prediction traffic in batches: query loops are featurised once and
+    their scaled vectors classified row by row.  {!load} is the one path
+    from an artifact file to a service: the CLI's [predict], {!Serve}'s
+    listen and its hot reload all go through it.  A
     per-artifact feature-vector cache (keyed by {!Loop.digest}, so names
     are blanked) means repeated loops — the common case for a compiler
     serving many compilation units of the same program — skip feature
@@ -39,6 +40,16 @@ val create :
     than [config]'s, or if its feature subset has drifted from this
     build's feature table.  [cache_capacity] bounds the feature-vector
     cache; [0] disables caching entirely. *)
+
+val load :
+  ?telemetry:Telemetry.t ->
+  ?cache_capacity:int ->
+  Config.t ->
+  string ->
+  (t, string) result
+(** {!Model_artifact.load} the file, then {!create}.  [telemetry] goes to
+    both; without it the load is timed in {!Telemetry.global} and the
+    service records nothing, as with {!create}. *)
 
 val predictor : t -> Predictor.t
 (** The reconstructed in-compiler predictor (shared load path). *)

@@ -25,15 +25,15 @@ let build_codewords code n_classes =
     in
     Array.of_list (draw [] n_classes)
 
-let targets_of_codewords codewords pairs =
+(* One ±1 target vector per codeword bit, over the labels in order. *)
+let targets_of_codewords codewords labels =
   let bits = Array.length codewords.(0) in
-  Array.init bits (fun b ->
-      Array.map (fun (_, y) -> float_of_int codewords.(y).(b)) pairs)
+  Array.init bits (fun b -> Array.map (fun y -> float_of_int codewords.(y).(b)) labels)
 
 let train ?jobs ?(code = One_vs_rest) ~n_classes ~kernel ~gamma pairs =
   let codewords = build_codewords code n_classes in
   let points = Array.map fst pairs in
-  let target_sets = targets_of_codewords codewords pairs in
+  let target_sets = targets_of_codewords codewords (Array.map snd pairs) in
   let machines = Lssvm.train_multi ?jobs ~kernel ~gamma points target_sets in
   { machines; codewords }
 
@@ -53,6 +53,11 @@ let decode codewords decisions =
     codewords;
   !best
 
+(* Decode every row of per-bit decision columns: row [i] takes entry [i]
+   of each column. *)
+let decode_columns codewords columns n =
+  Array.init n (fun i -> decode codewords (Array.map (fun col -> col.(i)) columns))
+
 let decision_values t x = Lssvm.decision_batch t.machines x
 
 let predict t x = decode t.codewords (decision_values t x)
@@ -60,11 +65,9 @@ let predict t x = decode t.codewords (decision_values t x)
 let loo_predictions ?jobs ?(code = One_vs_rest) ~n_classes ~kernel ~gamma pairs =
   let codewords = build_codewords code n_classes in
   let points = Array.map fst pairs in
-  let target_sets = targets_of_codewords codewords pairs in
+  let target_sets = targets_of_codewords codewords (Array.map snd pairs) in
   let loo = Lssvm.loo_decisions ?jobs ~kernel ~gamma points target_sets in
-  let bits = Array.length target_sets in
-  Array.init (Array.length pairs) (fun i ->
-      decode codewords (Array.init bits (fun b -> loo.(b).(i))))
+  decode_columns codewords loo (Array.length pairs)
 
 (* Train on a precomputed Gram matrix and classify the training points in
    place: decision values are K·alpha rows, so no kernel is re-evaluated.
@@ -72,15 +75,9 @@ let loo_predictions ?jobs ?(code = One_vs_rest) ~n_classes ~kernel ~gamma pairs 
    engine's incremental RBF Gram. *)
 let training_predictions ?(code = One_vs_rest) ~n_classes ~gamma ~gram labels =
   let codewords = build_codewords code n_classes in
-  let bits = Array.length codewords.(0) in
-  let target_sets =
-    Array.init bits (fun b ->
-        Array.map (fun y -> float_of_int codewords.(y).(b)) labels)
-  in
-  let alphas = Lssvm.solve_gram ~gamma gram target_sets in
+  let alphas = Lssvm.solve_gram ~gamma gram (targets_of_codewords codewords labels) in
   let decisions = Array.map (fun a -> Mat.mul_vec gram a) alphas in
-  Array.init (Array.length labels) (fun i ->
-      decode codewords (Array.init bits (fun b -> decisions.(b).(i))))
+  decode_columns codewords decisions (Array.length labels)
 
 let codeword t c = t.codewords.(c)
 

@@ -94,92 +94,75 @@ type t = {
 let tel t name n = Telemetry.incr t.telemetry ~pass:"serve" name n
 let port t = t.lport
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 (* --- listen -------------------------------------------------------------- *)
 
 let listen ?(opts = default_opts) ?(telemetry = Telemetry.global) config ~artifact =
   (* A client vanishing mid-write must surface as EPIPE on that write, not
      kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  match Model_artifact.load ~telemetry artifact with
+  match
+    Predict_service.load ~telemetry ~cache_capacity:opts.cache_capacity config artifact
+  with
   | Error e -> Error ("serve: " ^ e)
-  | Ok a -> (
-    match
-      Predict_service.create ~telemetry ~cache_capacity:opts.cache_capacity config a
-    with
-    | Error e -> Error ("serve: " ^ e)
-    | Ok service -> (
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      try
-        Unix.setsockopt sock Unix.SO_REUSEADDR true;
-        Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string opts.host, opts.port));
-        Unix.listen sock 128;
-        let lport =
-          match Unix.getsockname sock with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> opts.port
-        in
-        Ok
-          {
-            opts;
-            config;
-            telemetry;
-            listener = sock;
-            lport;
-            lock = Mutex.create ();
-            nonempty = Condition.create ();
-            q = Queue.create ();
-            conns = Hashtbl.create 64;
-            next_conn_id = 0;
-            stopping = false;
-            stop_flag = Atomic.make false;
-            reload_flag = Atomic.make None;
-            service;
-            shadow = None;
-            batcher = None;
-            hist = Array.make hist_buckets 0;
-            max_batch = 0;
-            accepted = 0;
-            requests = 0;
-            shed = 0;
-            batches = 0;
-            batched_loops = 0;
-            reloads = 0;
-            reload_rejected = 0;
-            shadow_promoted = 0;
-            shadow_rejected = 0;
-            shadow_seen_total = 0;
-            shadow_disagreements_total = 0;
-            frames_corrupt = 0;
-            responses_dropped = 0;
-          }
-      with Unix.Unix_error (e, fn, _) ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        Error (Printf.sprintf "serve: %s: %s" fn (Unix.error_message e))))
+  | Ok service -> (
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    try
+      Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string opts.host, opts.port));
+      Unix.listen sock 128;
+      let lport =
+        match Unix.getsockname sock with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> opts.port
+      in
+      Ok
+        {
+          opts;
+          config;
+          telemetry;
+          listener = sock;
+          lport;
+          lock = Mutex.create ();
+          nonempty = Condition.create ();
+          q = Queue.create ();
+          conns = Hashtbl.create 64;
+          next_conn_id = 0;
+          stopping = false;
+          stop_flag = Atomic.make false;
+          reload_flag = Atomic.make None;
+          service;
+          shadow = None;
+          batcher = None;
+          hist = Array.make hist_buckets 0;
+          max_batch = 0;
+          accepted = 0;
+          requests = 0;
+          shed = 0;
+          batches = 0;
+          batched_loops = 0;
+          reloads = 0;
+          reload_rejected = 0;
+          shadow_promoted = 0;
+          shadow_rejected = 0;
+          shadow_seen_total = 0;
+          shadow_disagreements_total = 0;
+          frames_corrupt = 0;
+          responses_dropped = 0;
+        }
+    with Unix.Unix_error (e, fn, _) ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Error (Printf.sprintf "serve: %s: %s" fn (Unix.error_message e)))
 
 let stop t = Atomic.set t.stop_flag true
 let request_reload t path = Atomic.set t.reload_flag (Some path)
 
 (* --- responses ----------------------------------------------------------- *)
 
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
-
 (* Park [resp] at [seq] in the reorder buffer and flush the contiguous run
    starting at [next_out] — responses leave each connection strictly in
    request order no matter how batches complete. *)
 let deliver t conn seq resp =
-  Mutex.lock conn.out_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.out_lock)
-    (fun () ->
+  Mutex.protect conn.out_lock (fun () ->
       Hashtbl.replace conn.out_buf seq resp;
       let buf = Buffer.create 64 in
       let flushed = ref 0 in
@@ -196,7 +179,7 @@ let deliver t conn seq resp =
       flush ();
       if !flushed > 0 then begin
         if conn.alive then begin
-          try write_all conn.fd (Buffer.contents buf)
+          try Wire.write_all conn.fd (Buffer.contents buf)
           with Unix.Unix_error _ ->
             conn.alive <- false;
             t.responses_dropped <- t.responses_dropped + !flushed;
@@ -215,7 +198,7 @@ let stats_text t =
   let shadow = t.shadow in
   let ints kvs = List.map (fun (k, v) -> (k, string_of_int v)) kvs in
   let snapshot =
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         ints
           ([
              ("accepted", t.accepted);
@@ -286,47 +269,44 @@ let bucket_of n =
 
 let do_reload t replier path =
   let reject e =
-    locked t (fun () -> t.reload_rejected <- t.reload_rejected + 1);
+    Mutex.protect t.lock (fun () -> t.reload_rejected <- t.reload_rejected + 1);
     tel t "reload-rejected" 1;
     match replier with
     | Some (conn, seq) -> deliver t conn seq (Wire.Failure ("reload rejected: " ^ e))
     | None -> ()
   in
-  match Model_artifact.load ~telemetry:t.telemetry path with
+  match
+    Predict_service.load ~telemetry:t.telemetry ~cache_capacity:t.opts.cache_capacity
+      t.config path
+  with
   | Error e -> reject e
-  | Ok a -> (
-    match
-      Predict_service.create ~telemetry:t.telemetry
-        ~cache_capacity:t.opts.cache_capacity t.config a
-    with
-    | Error e -> reject e
-    | Ok svc ->
-      if t.opts.shadow_window > 0 then begin
-        (* Shadow evaluation: the candidate predicts alongside the live
-           model for [shadow_window] loops before it may take over.  A
-           second reload while one is shadowing replaces the candidate
-           (latest wins) and restarts the window. *)
-        t.shadow <- Some { sh_service = svc; sh_seen = 0; sh_disagreements = 0 };
-        tel t "shadow-started" 1;
-        match replier with
-        | Some (conn, seq) ->
-          deliver t conn seq
-            (Wire.Okay
-               (Printf.sprintf "shadowing %s (window %d)" (Model_artifact.kind a)
-                  t.opts.shadow_window))
-        | None -> ()
-      end
-      else begin
-        (* The swap happens between batches, on the only domain that predicts,
-           so no in-flight request ever sees a half-installed model. *)
-        t.service <- svc;
-        locked t (fun () -> t.reloads <- t.reloads + 1);
-        tel t "reloads" 1;
-        match replier with
-        | Some (conn, seq) ->
-          deliver t conn seq (Wire.Okay ("reloaded " ^ Model_artifact.kind a))
-        | None -> ()
-      end)
+  | Ok svc ->
+    if t.opts.shadow_window > 0 then begin
+      (* Shadow evaluation: the candidate predicts alongside the live
+         model for [shadow_window] loops before it may take over.  A
+         second reload while one is shadowing replaces the candidate
+         (latest wins) and restarts the window. *)
+      t.shadow <- Some { sh_service = svc; sh_seen = 0; sh_disagreements = 0 };
+      tel t "shadow-started" 1;
+      match replier with
+      | Some (conn, seq) ->
+        deliver t conn seq
+          (Wire.Okay
+             (Printf.sprintf "shadowing %s (window %d)" (Predict_service.model_kind svc)
+                t.opts.shadow_window))
+      | None -> ()
+    end
+    else begin
+      (* The swap happens between batches, on the only domain that predicts,
+         so no in-flight request ever sees a half-installed model. *)
+      t.service <- svc;
+      Mutex.protect t.lock (fun () -> t.reloads <- t.reloads + 1);
+      tel t "reloads" 1;
+      match replier with
+      | Some (conn, seq) ->
+        deliver t conn seq (Wire.Okay ("reloaded " ^ Predict_service.model_kind svc))
+      | None -> ()
+    end
 
 (* Pop ready predict items (up to the cap), stopping at a reload boundary so
    reloads stay ordered with the traffic around them.  Lock held. *)
@@ -360,7 +340,7 @@ let collect t =
       then begin
         let before = !n in
         Unix.sleepf slice;
-        locked t (fun () -> take_available t acc n blocked);
+        Mutex.protect t.lock (fun () -> take_available t acc n blocked);
         if !n > before then top_up ()
       end
     in
@@ -388,7 +368,7 @@ let run_shadow t sh loops nb (factors : (int array, string) result) =
   in
   sh.sh_seen <- sh.sh_seen + nb;
   sh.sh_disagreements <- sh.sh_disagreements + disagreements;
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.shadow_seen_total <- t.shadow_seen_total + nb;
       t.shadow_disagreements_total <- t.shadow_disagreements_total + disagreements);
   if disagreements > 0 then tel t "shadow-disagreements" disagreements;
@@ -397,14 +377,14 @@ let run_shadow t sh loops nb (factors : (int array, string) result) =
     t.shadow <- None;
     if rate <= t.opts.shadow_threshold then begin
       t.service <- sh.sh_service;
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.shadow_promoted <- t.shadow_promoted + 1;
           t.reloads <- t.reloads + 1);
       tel t "shadow-promoted" 1;
       tel t "reloads" 1
     end
     else begin
-      locked t (fun () -> t.shadow_rejected <- t.shadow_rejected + 1);
+      Mutex.protect t.lock (fun () -> t.shadow_rejected <- t.shadow_rejected + 1);
       tel t "shadow-rejected" 1
     end
   end
@@ -419,7 +399,7 @@ let run_batch t batch =
   (match t.shadow with
   | Some sh when nb > 0 -> run_shadow t sh loops nb factors
   | Some _ | None -> ());
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.batches <- t.batches + 1;
       t.batched_loops <- t.batched_loops + nb;
       t.hist.(bucket_of nb) <- t.hist.(bucket_of nb) + 1;
@@ -456,16 +436,14 @@ let batcher_loop t =
 (* --- connections ---------------------------------------------------------- *)
 
 let close_conn t conn =
-  Mutex.lock conn.out_lock;
-  conn.alive <- false;
-  Mutex.unlock conn.out_lock;
-  locked t (fun () -> Hashtbl.remove t.conns conn.c_id);
+  Mutex.protect conn.out_lock (fun () -> conn.alive <- false);
+  Mutex.protect t.lock (fun () -> Hashtbl.remove t.conns conn.c_id);
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let handle_request t conn seq = function
   | Wire.Predict loop ->
     let verdict =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           if t.stopping then `Draining
           else if Queue.length t.q >= t.opts.queue_cap then begin
             t.shed <- t.shed + 1;
@@ -494,7 +472,7 @@ let handle_request t conn seq = function
     | "reload" :: (_ :: _ as rest) ->
       let path = String.concat " " rest in
       let queued =
-        locked t (fun () ->
+        Mutex.protect t.lock (fun () ->
             if t.stopping then false
             else begin
               Queue.push (Reload_item (Some (conn, seq), path)) t.q;
@@ -508,7 +486,7 @@ let handle_request t conn seq = function
 let reader_thread t conn =
   let rd = Wire.reader conn.fd in
   let corrupt () =
-    locked t (fun () -> t.frames_corrupt <- t.frames_corrupt + 1);
+    Mutex.protect t.lock (fun () -> t.frames_corrupt <- t.frames_corrupt + 1);
     tel t "frames-corrupt" 1
   in
   let rec loop () =
@@ -535,7 +513,7 @@ let accept_one t =
   | fd, _ ->
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let conn =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           let id = t.next_conn_id in
           t.next_conn_id <- id + 1;
           t.accepted <- t.accepted + 1;
@@ -561,12 +539,12 @@ let run t =
   let rec accept_loop () =
     (match Atomic.exchange t.reload_flag None with
     | Some path ->
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           Queue.push (Reload_item (None, path)) t.q;
           Condition.signal t.nonempty)
     | None -> ());
     if Atomic.get t.stop_flag then
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.stopping <- true;
           Condition.broadcast t.nonempty)
     else begin
@@ -588,14 +566,14 @@ let run t =
     t.batcher <- None
   | None -> ());
   let deadline = Unix.gettimeofday () +. t.opts.drain_timeout in
-  let active () = locked t (fun () -> Hashtbl.length t.conns) in
+  let active () = Mutex.protect t.lock (fun () -> Hashtbl.length t.conns) in
   while active () > 0 && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.02
   done;
   if active () > 0 then begin
     (* Readers own their fds; shutdown wakes their blocking reads and each
        cleans itself up. *)
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.iter
           (fun _ c ->
             try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())

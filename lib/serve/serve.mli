@@ -18,6 +18,11 @@
     pipeline.  When the queue is full the reader answers {!Wire.Busy}
     immediately — explicit backpressure, counted as a shed.
 
+    {!listen} and every hot reload build their service with
+    {!Predict_service.load}, the same loader as the CLI's local
+    [predict], so the server accepts and rejects exactly the artifacts
+    the local path does.
+
     Hot reload: a ["reload PATH"] control frame (or {!request_reload},
     wired to [SIGHUP] by the CLI) loads and verifies a new
     {!Model_artifact} and swaps it in between batches, so in-flight
@@ -81,8 +86,8 @@ type t
 val listen :
   ?opts:opts -> ?telemetry:Telemetry.t -> Config.t -> artifact:string ->
   (t, string) result
-(** Load and verify the artifact (provenance gates as in
-    {!Predict_service.create}), bind and listen.  No traffic is served
+(** Load and verify the artifact through {!Predict_service.load}
+    (provenance gates as in {!Predict_service.create}), bind and listen.  No traffic is served
     until {!run}. *)
 
 val port : t -> int

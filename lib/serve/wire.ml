@@ -94,13 +94,14 @@ let parse_response p =
 
 (* --- blocking socket I/O ------------------------------------------------- *)
 
-let write_payload fd payload =
-  let s = encode payload in
+let write_all fd s =
   let n = String.length s in
   let written = ref 0 in
   while !written < n do
     written := !written + Unix.write_substring fd s !written (n - !written)
   done
+
+let write_payload fd payload = write_all fd (encode payload)
 
 (* Buffered bytes are [buf.[lo .. hi - 1]]; frames are consumed by
    advancing [lo], so no byte is copied more than once per frame. *)

@@ -57,6 +57,10 @@ val parse_response : string -> (response, string) result
 
 (** {1 Blocking socket I/O} *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string, however many writes it takes.  Raises
+    [Unix.Unix_error] on a dead peer. *)
+
 val write_payload : Unix.file_descr -> string -> unit
 (** Frame and write fully.  Raises [Unix.Unix_error] on a dead peer. *)
 

@@ -139,12 +139,8 @@ let open_ ?(telemetry = Telemetry.global) path =
     Error (Printf.sprintf "Label_store: %s: %s" path (Unix.error_message e))
   | Sys_error msg -> Error ("Label_store: " ^ msg)
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match t.fd with
       | Some fd ->
         Unix.close fd;
@@ -173,10 +169,10 @@ let sweep_key ~machine ~swp ~noise ~noise_seed ~runs ~max_sim_iters ~bench ~inde
             index )
           []))
 
-let find t ~key ~factor = locked t (fun () -> Hashtbl.find_opt t.entries (key, factor))
+let find t ~key ~factor = Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.entries (key, factor))
 
 let find_sweep t ~key ~n_factors =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let out = Array.make n_factors 0 in
       let complete = ref true in
       for f = 1 to n_factors do
@@ -188,15 +184,8 @@ let find_sweep t ~key ~n_factors =
 
 let fd_exn t = match t.fd with Some fd -> fd | None -> invalid_arg "Label_store: closed"
 
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
-
 let append_sweep t ~key cycles =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       (* Once the injected crash has fired, the store is as dead as the
          process it simulates: a real SIGKILL stops every writer at once,
          so later appends from still-running workers must not land after
@@ -225,15 +214,16 @@ let append_sweep t ~key cycles =
             end
           end)
         cycles;
-      write_all fd (Buffer.contents buf);
+      (* [Unix.write] repeats the write until every byte is out. *)
+      ignore (Unix.write fd (Buffer.to_bytes buf) 0 (Buffer.length buf));
       if !crashed then raise Injected_crash;
       Unix.fsync fd;
       Telemetry.incr t.telemetry ~pass:"label-store" "records-appended" (Array.length cycles))
 
-let size t = locked t (fun () -> Hashtbl.length t.entries)
+let size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.entries)
 let recovered_records t = t.recovered
 let truncated_bytes t = t.truncated
-let inject_crash_after t n = locked t (fun () -> t.crash_in <- n)
+let inject_crash_after t n = Mutex.protect t.mutex (fun () -> t.crash_in <- n)
 
 (* --- tail following ------------------------------------------------------
 

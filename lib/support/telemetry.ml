@@ -15,10 +15,6 @@ let create () = { mutex = Mutex.create (); entries = Hashtbl.create 16; order = 
 
 let global = create ()
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let entry_of t pass =
   match Hashtbl.find_opt t.entries pass with
   | Some e -> e
@@ -36,27 +32,27 @@ let bump e metric n =
     e.counter_order <- metric :: e.counter_order
 
 let record t ~pass ~seconds ?(metrics = []) () =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let e = entry_of t pass in
       e.calls <- e.calls + 1;
       e.seconds <- e.seconds +. seconds;
       List.iter (fun (m, n) -> bump e m n) metrics)
 
 let incr t ~pass metric n =
-  locked t (fun () -> bump (entry_of t pass) metric n)
+  Mutex.protect t.mutex (fun () -> bump (entry_of t pass) metric n)
 
 let calls t ~pass =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.entries pass with Some e -> e.calls | None -> 0)
 
 let counter t ~pass metric =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.entries pass with
       | Some e -> (match Hashtbl.find_opt e.counters metric with Some r -> !r | None -> 0)
       | None -> 0)
 
 let to_table t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let tbl =
         Table.create ~title:"pipeline telemetry"
           [
