@@ -466,6 +466,9 @@ let verify_cmd =
             (factors factor))
         (read_loops f)
     | None, None ->
+      (* Fuzz treats a missing corpus as empty; here it would prove nothing. *)
+      if not (Sys.file_exists corpus && Sys.is_directory corpus) then
+        die "verify: corpus directory %s does not exist\n" corpus;
       let entries = load_corpus corpus in
       List.iter
         (fun (fname, (repro : Fuzz.Driver.repro)) ->
@@ -699,7 +702,9 @@ let predict_cmd =
             responses,
           None )
       | None, Some path -> (
-        let service = or_die "artifact: " (Predict_service.load config path) in
+        let service =
+          or_die "artifact: " (Predict_service.load ~telemetry:Telemetry.global config path)
+        in
         match Predict_service.label_space service with
         | Model_artifact.Factor -> (Predict_service.predict_batch service loops, None)
         | Model_artifact.Joint ->

@@ -788,7 +788,7 @@ let timing env =
         Dataset.size
           (match L.fit_cap config with Some cap -> Dataset.subsample ~cap ds | None -> ds)
       in
-      let fit () = Learner.fit ~jobs:config.Config.jobs l config ~features:selected ds in
+      let fit () = Learner.fit l config ~features:selected ds in
       let scaler, model = fit () in
       let fit_s = mean_seconds ~budget:0.5 (fun () -> ignore (fit ())) in
       let points = Dataset.points (Scale.apply scaler (Dataset.select_features ds selected)) in

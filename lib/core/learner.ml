@@ -40,8 +40,7 @@ module type LEARNER = sig
   val fit_cap : Config.t -> int option
 
   val train :
-    ?jobs:int -> ?telemetry:Telemetry.t -> Config.t -> n_classes:int ->
-    (float array * int) array -> model
+    ?telemetry:Telemetry.t -> Config.t -> n_classes:int -> (float array * int) array -> model
 
   val classify : model -> float array -> int
   val cv_cap : Config.t -> int option
@@ -64,7 +63,7 @@ module Nn_learner = struct
   let name = "nn"
   let fit_cap _ = None
 
-  let train ?jobs:_ ?telemetry:_ (config : Config.t) ~n_classes points =
+  let train ?telemetry:_ (config : Config.t) ~n_classes points =
     Knn.train ~radius:config.Config.knn_radius ~n_classes points
 
   let classify = Knn.predict
@@ -111,7 +110,7 @@ module Svm_learner = struct
   let name = "svm"
   let fit_cap (config : Config.t) = Some config.Config.fig4_svm_cap
 
-  let train ?jobs:_ ?telemetry:_ (config : Config.t) ~n_classes points =
+  let train ?telemetry:_ (config : Config.t) ~n_classes points =
     Multiclass.train ~n_classes ~kernel:config.Config.svm_kernel
       ~gamma:config.Config.svm_gamma points
 
@@ -176,9 +175,9 @@ module Mlp_learner = struct
   let name = "mlp"
   let fit_cap _ = None
 
-  let train ?jobs ?telemetry (config : Config.t) ~n_classes points =
+  let train ?telemetry (config : Config.t) ~n_classes points =
     fst
-      (Mlp.train ?jobs ?telemetry ~seed:config.Config.mlp_seed
+      (Mlp.train ?telemetry ~seed:config.Config.mlp_seed
          ~hyper:config.Config.mlp_hyper ~n_classes points)
 
   let classify = Mlp.predict
@@ -236,11 +235,11 @@ let write (Trained ((module L), m)) = L.write m
 let read (module L : LEARNER) ~d ~n_classes lines = Trained ((module L), L.read ~d ~n_classes lines)
 let cap limit ds = match limit with Some cap -> Dataset.subsample ~cap ds | None -> ds
 
-let fit ?jobs ?telemetry (module L : LEARNER) config ~features ds =
+let fit ?telemetry (module L : LEARNER) config ~features ds =
   let ds = Dataset.select_features (cap (L.fit_cap config) ds) features in
   let scaler = Scale.fit ds in
   let points = Dataset.points (Scale.apply scaler ds) in
-  (scaler, Trained ((module L), L.train ?jobs ?telemetry config ~n_classes:ds.Dataset.n_classes points))
+  (scaler, Trained ((module L), L.train ?telemetry config ~n_classes:ds.Dataset.n_classes points))
 
 let lobo ~jobs (module L : LEARNER) config (ds : Dataset.t) =
   Loocv.grouped ~jobs

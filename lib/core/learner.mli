@@ -40,10 +40,11 @@ module type LEARNER = sig
       {e before} {!Scale.fit} (the LS-SVM's O(N³) solve). *)
 
   val train :
-    ?jobs:int -> ?telemetry:Telemetry.t -> Config.t -> n_classes:int ->
+    ?telemetry:Telemetry.t -> Config.t -> n_classes:int ->
     (float array * int) array -> model
-  (** Train on already-scaled points.  [jobs] and [telemetry] reach the
-      learners whose training uses them. *)
+  (** Train on already-scaled points, on the calling domain; parallelism
+      is across models ({!lobo}'s folds).  [telemetry] reaches the
+      learners whose training records a pass. *)
 
   val classify : model -> float array -> int
   (** 0-based class of a scaled vector. *)
@@ -99,7 +100,7 @@ val read : t -> d:int -> n_classes:int -> string list list -> trained
 (** {1 Protocols} *)
 
 val fit :
-  ?jobs:int -> ?telemetry:Telemetry.t -> t -> Config.t -> features:int array ->
+  ?telemetry:Telemetry.t -> t -> Config.t -> features:int array ->
   Dataset.t -> Scale.t * trained
 (** Fit from a raw (unnormalised) dataset restricted to [features]:
     subsample to [fit_cap], fit the scaler, train on the scaled points. *)

@@ -10,8 +10,8 @@ let name = function
   | Oracle -> "oracle"
   | Learned { model; _ } -> Learner.name (Learner.learner model)
 
-let fit ?jobs ?telemetry learner config ~features ds =
-  let scaler, model = Learner.fit ?jobs ?telemetry learner config ~features ds in
+let fit ?telemetry learner config ~features ds =
+  let scaler, model = Learner.fit ?telemetry learner config ~features ds in
   Learned { model; scaler; features }
 
 let train_nn config ~features ds = fit Learner.nn config ~features ds
@@ -19,8 +19,8 @@ let train_nn config ~features ds = fit Learner.nn config ~features ds
 let train_svm ?(cap = max_int) (config : Config.t) ~features ds =
   fit Learner.svm { config with Config.fig4_svm_cap = cap } ~features ds
 
-let train_mlp ?jobs ?telemetry config ~features ds =
-  fit ?jobs ?telemetry Learner.mlp config ~features ds
+let train_mlp ?jobs:_ ?telemetry config ~features ds =
+  fit ?telemetry Learner.mlp config ~features ds
 
 let project features x = Array.map (fun j -> x.(j)) features
 

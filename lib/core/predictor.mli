@@ -19,7 +19,7 @@ val name : t -> string
 (** ["fixed-k"], ["orc"], ["oracle"], or the learner's name. *)
 
 val fit :
-  ?jobs:int -> ?telemetry:Telemetry.t ->
+  ?telemetry:Telemetry.t ->
   Learner.t -> Config.t -> features:int array -> Dataset.t -> t
 (** Fit a learner ({!Learner.fit}) on a raw, unnormalised dataset
     restricted to [features]. *)
@@ -33,8 +33,9 @@ val train_svm : ?cap:int -> Config.t -> features:int array -> Dataset.t -> t
 
 val train_mlp :
   ?jobs:int -> ?telemetry:Telemetry.t -> Config.t -> features:int array -> Dataset.t -> t
-(** {!fit} of {!Learner.mlp}.  Deterministic from [config.mlp_seed] at
-    every [jobs] value; [telemetry] records the ["mlp"] training pass. *)
+(** {!fit} of {!Learner.mlp}.  Deterministic from [config.mlp_seed];
+    training runs on the calling domain, so [jobs] is accepted and
+    ignored.  [telemetry] records the ["mlp"] training pass. *)
 
 val to_artifact :
   ?label_space:Model_artifact.label_space ->

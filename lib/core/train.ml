@@ -72,7 +72,7 @@ let fit ?(progress = false) ?(label_space = Model_artifact.Factor) ~loocv
   if loocv || model = Best then info progress "train: LOOCV %s" (cv_summary named);
   let learner = match learner_of model with Some l -> l | None -> best scores in
   let predictor =
-    Predictor.fit ~jobs ~telemetry:Telemetry.global learner config ~features:selected ds
+    Predictor.fit ~telemetry:Telemetry.global learner config ~features:selected ds
   in
   let artifact = Predictor.to_artifact ~label_space config ~dataset_digest predictor in
   ( artifact,

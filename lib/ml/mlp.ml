@@ -7,10 +7,11 @@
    gradient checker all address parameters through this one indexing.
 
    Determinism: weight init and the per-epoch shuffle derive from the
-   seed alone; per-example passes fan out over Parallel.tabulate (results
-   land at their input index) and every reduction — gradient sums, loss
-   means, the weight update — runs sequentially in index order.  Trained
-   weights are therefore bit-identical at every jobs value. *)
+   seed alone, and training is sequential: each example's gradient is
+   added into one batch accumulator in index order, and loss sums and the
+   weight update run in index order too.  Trained weights are a pure
+   function of (data, seed, hyper); callers parallelise across models
+   (cross-validation folds), never inside one. *)
 
 type t = {
   dims : int array;
@@ -81,34 +82,45 @@ let init ~seed ~dims =
   done;
   { dims; params }
 
-(* --- forward pass -------------------------------------------------------- *)
+(* --- forward and backward passes into scratch ----------------------------- *)
 
-(* Activations per layer: acts.(0) is the input, acts.(l+1) the layer-l
-   output (tanh for hidden layers, raw logits at the head). *)
-let forward t x =
+(* Per-pass buffers, reused across every example of a [train] call so the
+   inner loop allocates nothing.  For l >= 1, acts.(l) holds layer l-1's
+   output (tanh for hidden layers, raw logits at the head) and deltas.(l)
+   the loss gradient with respect to its pre-activation; the input is read
+   in place, so acts.(0) and deltas.(0) are empty.  deltas.(n_layers)
+   first receives the softmax probabilities.  [loss] is a one-cell running
+   sum of example losses (a float array cell, so adding to it allocates
+   nothing). *)
+type scratch = {
+  acts : float array array;
+  deltas : float array array;
+  loss : float array;
+}
+
+let scratch dims =
+  let buffers () = Array.mapi (fun l w -> if l = 0 then [||] else Array.make w 0.0) dims in
+  { acts = buffers (); deltas = buffers (); loss = [| 0.0 |] }
+
+(* Runs x through every layer into s.acts; returns the logits buffer. *)
+let forward t s x =
   let nl = n_layers t in
-  let acts = Array.make (nl + 1) x in
   for l = 0 to nl - 1 do
     let fan_in = t.dims.(l) and fan_out = t.dims.(l + 1) in
     let off = layer_offset t.dims l in
     let bias_off = off + (fan_out * fan_in) in
-    let inp = acts.(l) in
-    let out = Array.make fan_out 0.0 in
+    let inp = if l = 0 then x else s.acts.(l) in
+    let out = s.acts.(l + 1) in
     for i = 0 to fan_out - 1 do
       let row = off + (i * fan_in) in
-      let s = ref t.params.(bias_off + i) in
+      let z = ref t.params.(bias_off + i) in
       for j = 0 to fan_in - 1 do
-        s := !s +. (t.params.(row + j) *. inp.(j))
+        z := !z +. (t.params.(row + j) *. inp.(j))
       done;
-      out.(i) <- (if l = nl - 1 then !s else tanh !s)
-    done;
-    acts.(l + 1) <- out
+      out.(i) <- (if l = nl - 1 then !z else tanh !z)
+    done
   done;
-  acts
-
-let decision_values t x =
-  let acts = forward t x in
-  Array.copy acts.(n_layers t)
+  s.acts.(nl)
 
 let argmax a =
   let best = ref 0 in
@@ -117,62 +129,80 @@ let argmax a =
   done;
   !best
 
-let predict t x = argmax (forward t x).(n_layers t)
+let predict t x = argmax (forward t (scratch t.dims) x)
+let decision_values t x = Array.copy (forward t (scratch t.dims) x)
 
-(* Softmax probabilities from logits, max-shifted for stability. *)
-let softmax logits =
-  let m = Array.fold_left max neg_infinity logits in
-  let e = Array.map (fun z -> exp (z -. m)) logits in
-  let s = Array.fold_left ( +. ) 0.0 e in
-  Array.map (fun v -> v /. s) e
+(* Forward pass plus softmax cross-entropy: writes the max-shifted softmax
+   probabilities into deltas.(n_layers), adds the example's loss to
+   s.loss.(0) and returns the logits.  The max is [Stdlib.max] folded
+   left, at type float. *)
+let forward_loss t s x y =
+  let logits = forward t s x in
+  let p = s.deltas.(n_layers t) in
+  let m = ref neg_infinity in
+  for i = 0 to Array.length logits - 1 do
+    let z = logits.(i) in
+    m := if !m >= z then !m else z
+  done;
+  let sum = ref 0.0 in
+  for i = 0 to Array.length logits - 1 do
+    let e = exp (logits.(i) -. !m) in
+    p.(i) <- e;
+    sum := !sum +. e
+  done;
+  for i = 0 to Array.length p - 1 do
+    p.(i) <- p.(i) /. !sum
+  done;
+  s.loss.(0) <- s.loss.(0) -. log (Float.max p.(y) 1e-300);
+  logits
 
-let loss_of_logits logits y =
-  let p = softmax logits in
-  -.log (Float.max p.(y) 1e-300)
-
-(* --- backward pass ------------------------------------------------------- *)
-
-(* Cross-entropy loss of one example plus its analytic gradient, flat. *)
-let backward t x y =
+(* The training kernel: one example's forward and backward pass, adding
+   its cross-entropy gradient into [acc] (flat, indexed like params) and
+   its loss into s.loss.(0).  Each gradient term is added on its own, so
+   summing examples into one [acc] in index order equals summing their
+   separate gradient vectors in that order, bit for bit. *)
+let accumulate t s acc x y =
   let nl = n_layers t in
-  let acts = forward t x in
-  let logits = acts.(nl) in
-  let loss = loss_of_logits logits y in
-  let grad = Array.make (param_count t) 0.0 in
+  ignore (forward_loss t s x y);
   (* delta at the head: softmax − one-hot *)
-  let delta = ref (softmax logits) in
-  !delta.(y) <- !delta.(y) -. 1.0;
+  let head = s.deltas.(nl) in
+  head.(y) <- head.(y) -. 1.0;
   for l = nl - 1 downto 0 do
     let fan_in = t.dims.(l) and fan_out = t.dims.(l + 1) in
     let off = layer_offset t.dims l in
     let bias_off = off + (fan_out * fan_in) in
-    let inp = acts.(l) and d = !delta in
+    let inp = if l = 0 then x else s.acts.(l) and d = s.deltas.(l + 1) in
     for i = 0 to fan_out - 1 do
       let row = off + (i * fan_in) in
       let di = d.(i) in
-      grad.(bias_off + i) <- di;
+      acc.(bias_off + i) <- acc.(bias_off + i) +. di;
       for j = 0 to fan_in - 1 do
-        grad.(row + j) <- di *. inp.(j)
+        acc.(row + j) <- acc.(row + j) +. (di *. inp.(j))
       done
     done;
     if l > 0 then begin
       (* back-propagate through the tanh: d_in.(j) = (1 − a²) Σᵢ dᵢ·Wᵢⱼ *)
-      let prev = Array.make fan_in 0.0 in
+      let prev = s.deltas.(l) in
       for j = 0 to fan_in - 1 do
-        let s = ref 0.0 in
+        let z = ref 0.0 in
         for i = 0 to fan_out - 1 do
-          s := !s +. (d.(i) *. t.params.(off + (i * fan_in) + j))
+          z := !z +. (d.(i) *. t.params.(off + (i * fan_in) + j))
         done;
         let a = inp.(j) in
-        prev.(j) <- !s *. (1.0 -. (a *. a))
-      done;
-      delta := prev
+        prev.(j) <- !z *. (1.0 -. (a *. a))
+      done
     end
-  done;
-  (loss, grad)
+  done
 
-let example_loss t x y = loss_of_logits (forward t x).(n_layers t) y
-let example_gradient t x y = snd (backward t x y)
+let example_loss t x y =
+  let s = scratch t.dims in
+  ignore (forward_loss t s x y);
+  s.loss.(0)
+
+let example_gradient t x y =
+  let grad = Array.make (param_count t) 0.0 in
+  accumulate t (scratch t.dims) grad x y;
+  grad
 
 (* --- content-keyed holdout split ----------------------------------------- *)
 
@@ -233,28 +263,20 @@ let import ~dims ~weights ~biases =
 
 (* --- training ------------------------------------------------------------ *)
 
-(* Mean loss and accuracy over a fixed index set.  Per-example passes fan
-   out; both sums read results back in index order. *)
-let evaluate ?(jobs = 1) t xs ys idx =
+(* Mean loss and accuracy over a fixed index set, summed in index order. *)
+let evaluate t s xs ys idx =
   let n = Array.length idx in
   if n = 0 then (nan, nan)
   else begin
-    let per =
-      Parallel.tabulate ~jobs n (fun k ->
-          let i = idx.(k) in
-          let logits = (forward t xs.(i)).(n_layers t) in
-          (loss_of_logits logits ys.(i), if argmax logits = ys.(i) then 1 else 0))
-    in
-    let loss = ref 0.0 and correct = ref 0 in
+    s.loss.(0) <- 0.0;
+    let correct = ref 0 in
     Array.iter
-      (fun (l, c) ->
-        loss := !loss +. l;
-        correct := !correct + c)
-      per;
-    (!loss /. float_of_int n, float_of_int !correct /. float_of_int n)
+      (fun i -> if argmax (forward_loss t s xs.(i) ys.(i)) = ys.(i) then incr correct)
+      idx;
+    (s.loss.(0) /. float_of_int n, float_of_int !correct /. float_of_int n)
   end
 
-let train ?(jobs = 1) ?telemetry ~seed ~hyper ~n_classes pairs =
+let train ?telemetry ~seed ~hyper ~n_classes pairs =
   let t0 = Unix.gettimeofday () in
   let n = Array.length pairs in
   if n = 0 then invalid_arg "Mlp.train: empty training set";
@@ -284,6 +306,7 @@ let train ?(jobs = 1) ?telemetry ~seed ~hyper ~n_classes pairs =
   let n_hold = Array.length hold_idx in
   let np = param_count net in
   let velocity = Array.make np 0.0 in
+  let s = scratch dims and acc = Array.make np 0.0 in
   let batch = max 1 hyper.batch in
   let order = Array.copy train_idx in
   let best_params = Array.copy net.params in
@@ -295,23 +318,15 @@ let train ?(jobs = 1) ?telemetry ~seed ~hyper ~n_classes pairs =
      for epoch = 0 to hyper.epochs - 1 do
        incr epochs_run;
        Rng.shuffle (Rng.derive seed "mlp-epoch" epoch) order;
-       let epoch_loss = ref 0.0 in
+       s.loss.(0) <- 0.0;
        let pos = ref 0 in
        while !pos < n_train do
          let nb = min batch (n_train - !pos) in
-         let base = !pos in
-         (* per-example forward/backward fans out; the sum is sequential *)
-         let grads =
-           Parallel.tabulate ~jobs nb (fun k ->
-               let i = order.(base + k) in
-               backward net xs.(i) ys.(i))
-         in
-         let acc = Array.make np 0.0 in
-         Array.iter
-           (fun (l, g) ->
-             epoch_loss := !epoch_loss +. l;
-             Vec.axpy 1.0 g acc)
-           grads;
+         Array.fill acc 0 np 0.0;
+         for k = !pos to !pos + nb - 1 do
+           let i = order.(k) in
+           accumulate net s acc xs.(i) ys.(i)
+         done;
          let inv = 1.0 /. float_of_int nb in
          for i = 0 to np - 1 do
            velocity.(i) <- (hyper.momentum *. velocity.(i)) -. (hyper.lr *. acc.(i) *. inv);
@@ -319,9 +334,9 @@ let train ?(jobs = 1) ?telemetry ~seed ~hyper ~n_classes pairs =
          done;
          pos := !pos + nb
        done;
-       last_train_loss := !epoch_loss /. float_of_int n_train;
+       last_train_loss := s.loss.(0) /. float_of_int n_train;
        if n_hold > 0 then begin
-         let hloss, _ = evaluate ~jobs net xs ys hold_idx in
+         let hloss, _ = evaluate net s xs ys hold_idx in
          if hloss < !best_loss then begin
            best_loss := hloss;
            Array.blit net.params 0 best_params 0 np;
@@ -336,7 +351,7 @@ let train ?(jobs = 1) ?telemetry ~seed ~hyper ~n_classes pairs =
    with Exit -> ());
   if n_hold > 0 then Array.blit best_params 0 net.params 0 np;
   let _, holdout_accuracy =
-    if n_hold > 0 then evaluate ~jobs net xs ys hold_idx else (nan, nan)
+    if n_hold > 0 then evaluate net s xs ys hold_idx else (nan, nan)
   in
   let stats =
     {

@@ -8,11 +8,13 @@
     holdout membership is a pure function of [(seed, features, label)],
     so the split survives dataset append-order changes.
 
-    Parallelism follows the repo contract: per-example forward/backward
-    passes fan out over {!Parallel.tabulate} and land at their input
-    index; gradient reduction and the weight update itself are
-    sequential, in index order, so trained weights are bit-identical at
-    every [jobs] value.
+    Training is sequential and allocates nothing per example: one
+    scratch buffer per {!train} call holds every layer's activations and
+    deltas, and each example's gradient is added straight into one batch
+    accumulator, in index order.  Trained weights are therefore a pure
+    function of (pairs, seed, hyper).  Parallelism belongs to the caller,
+    one model per domain — {!Loocv.grouped} trains its folds that way; a
+    32-example mini-batch is too small to split across domains.
 
     All parameters live in one flat [float array] (per layer: the
     [fan_out × fan_in] weight block row-major, then [fan_out] biases).
@@ -42,7 +44,6 @@ type stats = {
 }
 
 val train :
-  ?jobs:int ->
   ?telemetry:Telemetry.t ->
   seed:int ->
   hyper:hyper ->

@@ -216,9 +216,11 @@ let allocate_from ?(max_rounds = 6) ~sched (first : Schedule.t) =
       else begin
         let cls = if over_fp then Op.Flt else Op.Int in
         (* Widest-live-range value of the over-subscribed class, excluding
-           carried values, invariants and values already reloaded from the
-           spill area.  Ascending-id scan keeps the lowest id among equal
-           spans — the same victim the Op.reg-ordered search picked. *)
+           only carried values and live-ins (invariants).  Registers that
+           an earlier round spilled, and the reload registers it made,
+           stay eligible, so a later round may pick one of them again.
+           Ascending-id scan keeps the lowest id among equal spans — the
+           same victim the Op.reg-ordered search picked. *)
         let nregs = Array.length lv.seen in
         let best = ref (-1) and best_span = ref 0 in
         for id = 0 to nregs - 1 do

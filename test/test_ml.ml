@@ -738,18 +738,6 @@ let test_mlp_same_seed_bit_identical () =
   Alcotest.(check bool) "different seed differs" false
     (bits_equal (mlp_flat (train ())) (mlp_flat other))
 
-let test_mlp_jobs_bit_identical () =
-  let pairs = blobs ~classes:4 ~per_class:12 in
-  let train jobs = fst (Mlp.train ~jobs ~seed:9 ~hyper:small_hyper ~n_classes:4 pairs) in
-  let m1 = train 1 and m4 = train 4 in
-  Alcotest.(check bool) "j1 = j4 weights" true (bits_equal (mlp_flat m1) (mlp_flat m4));
-  Array.iter
-    (fun (x, _) ->
-      Alcotest.(check int) "j1 = j4 prediction" (Mlp.predict m1 x) (Mlp.predict m4 x);
-      Alcotest.(check bool) "j1 = j4 logits" true
-        (bits_equal (Mlp.decision_values m1 x) (Mlp.decision_values m4 x)))
-    pairs
-
 let test_mlp_holdout_append_order_stable () =
   (* Holdout membership is content-keyed: permuting the dataset must not
      move any example across the split. *)
@@ -811,7 +799,6 @@ let mlp_tests =
   [
     ("mlp loss decreases on separable data", `Quick, test_mlp_loss_decreases_on_separable);
     ("mlp same seed bit-identical", `Quick, test_mlp_same_seed_bit_identical);
-    ("mlp j1 = j4 bit-identical", `Quick, test_mlp_jobs_bit_identical);
     ("mlp holdout append-order stable", `Quick, test_mlp_holdout_append_order_stable);
     ("mlp export/import roundtrip", `Quick, test_mlp_export_import_roundtrip);
     ("mlp input validation", `Quick, test_mlp_input_validation);
